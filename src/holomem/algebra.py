@@ -22,6 +22,7 @@ Conventions (used consistently across the package):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -330,7 +331,8 @@ class CovarianceSpec:
     every mode the propagation touches must be listed explicitly.  A zero
     variance is admitted as the ideal-squeezing limit, in which case the
     uncertainty-product check on the x/p pair is waived (the partner is
-    implicitly unbounded).
+    implicitly unbounded; an infinite variance, the antisqueezed partner
+    of an ideal squeeze, is admitted for the same reason).
     """
 
     variances: Mapping[ModeLabel, tuple[float, float]] = field(default_factory=dict)
@@ -338,9 +340,13 @@ class CovarianceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "variances", dict(self.variances))
+        if self.default is not None and not math.isfinite(self.default):
+            raise ValueError(f"default variance must be finite, got {self.default}")
         if self.default is not None and self.default <= 0:
             raise ValueError("default variance must be positive")
         for lab, (vr, vi) in self.variances.items():
+            if math.isnan(vr) or math.isnan(vi):
+                raise ValueError(f"NaN variance assigned to {lab}")
             if vr < 0 or vi < 0:
                 raise ValueError(f"negative variance assigned to {lab}")
             if lab.kind == "a":
@@ -372,6 +378,8 @@ class CovarianceSpec:
         The conjugate partners are antisqueezed to (1/2) e^{+2r} so the
         assignment stays a physical Gaussian state.
         """
+        if not math.isfinite(r):
+            raise ValueError(f"squeezing parameter r must be finite, got {r}")
         if r < 0:
             raise ValueError("squeezing parameter r must be nonnegative")
         sq = VACUUM_VARIANCE * np.exp(-2 * r)

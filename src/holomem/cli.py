@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -70,11 +71,22 @@ DEFAULTS: dict[str, dict] = {
         "order_max": 4,
         "grating_periods": 100.0,
         "z_per_period": 40,
-        "t_steps": 200,
         "tolerance": 0.01,
-        "workers": 1,
     },
 }
+
+
+def _finite(name: str, value) -> float:
+    """value as a float, or a ValueError naming the parameter."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _require_finite_map(name: str, inout_map, kappa: float) -> None:
+    if not np.all(np.isfinite(inout_map.coefficients)):
+        raise ValueError(f"kappa = {kappa!r} is too large: the {name} map overflows")
 
 
 def _fmt(value) -> str:
@@ -160,6 +172,8 @@ def cmd_maps(params: dict, out: str | None) -> int:
         "double_pass_write": double_pass_write(config),
         "full_cycle": full_cycle(config),
     }
+    for name, m in maps.items():
+        _require_finite_map(name, m, config.kappa)
     if out is None:
         print(f"kappa = {config.kappa}, order_max = {config.order_max}")
         for name, m in maps.items():
@@ -176,7 +190,7 @@ def cmd_maps(params: dict, out: str | None) -> int:
 
 def cmd_fidelity(params: dict, out: str | None) -> int:
     pixels = int(params["pixels"])
-    r = float(params["squeeze_r"])
+    r = _finite("squeeze-r", params["squeeze_r"])
     if pixels < 1:
         raise ValueError("pixels must be >= 1")
     if r < 0:
@@ -203,7 +217,8 @@ def cmd_fidelity(params: dict, out: str | None) -> int:
 
 def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     points = int(params["kappa_points"])
-    lo, hi = float(params["kappa_min"]), float(params["kappa_max"])
+    lo = _finite("kappa-min", params["kappa_min"])
+    hi = _finite("kappa-max", params["kappa_max"])
     if points < 2:
         raise ValueError("kappa sweep needs at least 2 points")
     if lo < 0 or hi < lo:
@@ -215,6 +230,7 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     powers = []
     for kappa in kappas:
         cycle = full_cycle(ProtocolConfig(kappa=float(kappa), order_max=order_max))
+        _require_finite_map("full_cycle", cycle, float(kappa))
         row_coeffs = cycle.row(light("R"))
         gain = row_coeffs[light("W")]
         power = abs(gain) ** 2
@@ -249,7 +265,7 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
 
 def cmd_squeeze_sweep(params: dict, out: str | None) -> int:
     points = int(params["r_points"])
-    lo, hi = float(params["r_min"]), float(params["r_max"])
+    lo, hi = _finite("r-min", params["r_min"]), _finite("r-max", params["r_max"])
     pixels = int(params["pixels"])
     if points < 2:
         raise ValueError("squeezing sweep needs at least 2 points")
@@ -277,11 +293,9 @@ def cmd_squeeze_sweep(params: dict, out: str | None) -> int:
 
 
 def cmd_oracle_verify(params: dict, out: str | None) -> int:
-    periods = float(params["grating_periods"])
+    periods = _finite("grating-periods", params["grating_periods"])
     z_per_period = int(params["z_per_period"])
-    t_steps = int(params["t_steps"])
-    tolerance = float(params["tolerance"])
-    workers = int(params["workers"])
+    tolerance = _finite("tolerance", params["tolerance"])
     if periods <= 0:
         raise ValueError("grating-periods must be positive")
     if tolerance <= 0:
@@ -301,18 +315,17 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
         kappa=float(params["kappa"]),
         order_max=int(params["order_max"]),
         z_points=intervals + 1,
-        t_points=t_steps,
     )
     analytic = single_pass(
         ProtocolConfig(
             kappa=grid.kappa, order_max=grid.order_max, grating_phase=grating_phase
         )
     )
-    result = extract_map(grid, refinement_levels=1, workers=workers)
+    result = extract_map(grid, refinement_levels=1)
     report = compare(result, analytic, tolerance)
     print(report.summary())
     print(
-        f"grid: {grid.z_points} z points, {grid.t_points} t steps; "
+        f"grid: {grid.z_points} z points; "
         f"refinement change {result.refinement_ratios[0]:.3e}, "
         f"reported discretization tolerance {result.reported_tolerance:.3e}"
     )
@@ -328,7 +341,6 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
             "grid": {
                 "grating_phase": grid.grating_phase,
                 "z_points": grid.z_points,
-                "t_points": grid.t_points,
                 "kappa": grid.kappa,
                 "order_max": grid.order_max,
             },
@@ -379,9 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--grating-periods", type=float, default=None, help="2 pi layers in the cell")
     p.add_argument("--z-per-period", type=int, default=None, help="z points per grating period")
-    p.add_argument("--t-steps", type=int, default=None)
+    # Accepted for old command lines and ignored: the pass is exact in time.
+    p.add_argument("--t-steps", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--tolerance", type=float, default=None, help="relative tolerance")
-    p.add_argument("--workers", type=int, default=None, help="thread pool size for probes")
     add_common(p)
 
     return parser

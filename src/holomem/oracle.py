@@ -9,7 +9,10 @@ grid and integrates
     dP/dt = 0
 
 for one pass of duration T (retardation neglected, diffraction folded into
-the grating phase per transverse mode).  Because the equations are linear,
+the grating phase per transverse mode).  Without a collective spin
+rotation during the interaction P is static, so a(z) does not depend on
+time and X grows linearly over the pulse: one z sweep integrates the pass
+exactly in time.  Because the equations are linear,
 the full input-output map is recovered column by column from unit-amplitude
 probes.  The response is R-linear rather than C-linear: besides the
 analytic coefficients the probes expose a conjugate-amplitude (counter-
@@ -24,7 +27,7 @@ period.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -44,7 +47,6 @@ from .protocol import cycle_register, interpass_transform
 
 MIN_POINTS_PER_PERIOD = 20
 DEFAULT_POINTS_PER_PERIOD = 40
-MIN_TIME_POINTS = 100
 
 
 @dataclass(frozen=True)
@@ -55,20 +57,23 @@ class OracleGrid:
     per-transverse-mode diffraction correction q^2 L / (2 k_0) into an
     effective grating phase (the oracle is one-dimensional per transverse
     mode).  z_points = None picks the default resolution of
-    40 points per grating period; t_points counts time steps across the
-    pulse.  Cell length and pulse duration are free scales.
+    40 points per grating period.  Time needs no grid: the pass is exact
+    in time (see _PassIntegrator.run).  Cell length and pulse duration
+    are free scales.
     """
 
     grating_phase: float = 200 * np.pi
     kappa: float = 1.0
     order_max: int = 4
     z_points: int | None = None
-    t_points: int = 200
     transverse_phase_shift: float = 0.0
     length: float = 1.0
     duration: float = 1.0
 
     def __post_init__(self):
+        for name in ("kappa", "grating_phase", "transverse_phase_shift", "length", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         if self.order_max < 0:
@@ -81,8 +86,6 @@ class OracleGrid:
             intervals = int(np.ceil(DEFAULT_POINTS_PER_PERIOD * self.periods))
             intervals += intervals % 2  # even interval count for Simpson
             object.__setattr__(self, "z_points", intervals + 1)
-        if self.t_points < MIN_TIME_POINTS:
-            raise ValueError(f"t_points must be >= {MIN_TIME_POINTS}, got {self.t_points}")
         per_period = (self.z_points - 1) / self.periods
         if per_period < MIN_POINTS_PER_PERIOD * (1 - 1e-9):
             raise ValueError(
@@ -104,12 +107,8 @@ class OracleGrid:
         return self.effective_phase / (2 * np.pi)
 
     def refined(self, factor: int = 2) -> "OracleGrid":
-        """Same physics on a grid with `factor` times finer z and t steps."""
-        return replace(
-            self,
-            z_points=(self.z_points - 1) * factor + 1,
-            t_points=self.t_points * factor,
-        )
+        """Same physics on a grid with `factor` times finer z steps."""
+        return replace(self, z_points=(self.z_points - 1) * factor + 1)
 
     def register(self) -> tuple[ModeLabel, ...]:
         return standard_register(self.order_max)
@@ -153,13 +152,8 @@ class _PassIntegrator:
 
     def _cumulative_source_integral(self, p_field: np.ndarray) -> np.ndarray:
         """F[j] = int_{-L/2}^{z_j} P(z') e^{-i Delta_k z'} dz', piecewise-linear P."""
-        seg = self.h * self.carrier_neg[:-1] * (
-            self._w0 * p_field[:-1] + self._w1 * p_field[1:]
-        )
-        out = np.empty(self.z.size, dtype=complex)
-        out[0] = 0.0
-        np.cumsum(seg, out=out[1:])
-        return out
+        seg = self.h * self.carrier_neg[:-1] * (self._w0 * p_field[:-1] + self._w1 * p_field[1:])
+        return np.concatenate([[0.0], np.cumsum(seg)])
 
     def run(self, amplitudes: np.ndarray) -> np.ndarray:
         """Propagate one pass from complex register amplitudes.
@@ -167,29 +161,22 @@ class _PassIntegrator:
         Spin amplitudes v seed Hermitian (pixel-level) fields
         2 theta_n(z) Re[v e^{i Delta_k z}]; the light amplitude is the
         pulse-averaged convention, so the instantaneous boundary value is
-        v/sqrt(T).  Within each time step the field is recomputed by one z
-        sweep (it follows the static spins adiabatically) and the passive
-        spin quadrature X is stepped; P never evolves, making the time
-        integration of the constant source exact.
+        v/sqrt(T).  P never evolves, so one z sweep gives the field a(z)
+        for the whole pulse; X then grows by T times its constant rate, and
+        the pulse-averaged output is a(L/2) sqrt(T).  Both are exact in
+        time.
         """
         grid = self.grid
         n_spin = grid.order_max + 1
         coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
-        dt = grid.duration / grid.t_points
 
         a_boundary = amplitudes[0] / np.sqrt(grid.duration)
-        x_field = np.zeros(self.z.size)
-        p_field = np.zeros(self.z.size)
-        for m in range(n_spin):
-            x_field += 2 * np.real(amplitudes[1 + m] * self.carrier_pos) * self.thetas[m]
-            p_field += 2 * np.real(amplitudes[1 + n_spin + m] * self.carrier_pos) * self.thetas[m]
+        x_field = 2 * np.real((amplitudes[1 : 1 + n_spin] @ self.thetas) * self.carrier_pos)
+        p_field = 2 * np.real((amplitudes[1 + n_spin :] @ self.thetas) * self.carrier_pos)
 
-        a_time_sum = 0.0 + 0.0j
-        for _ in range(grid.t_points):
-            a_of_z = a_boundary + coupling * self._cumulative_source_integral(p_field)
-            x_field = x_field + dt * 2 * coupling * np.imag(a_of_z * self.carrier_pos)
-            a_time_sum += a_of_z[-1] * dt
-        a_out = a_time_sum / np.sqrt(grid.duration)
+        a_of_z = a_boundary + coupling * self._cumulative_source_integral(p_field)
+        x_field += grid.duration * 2 * coupling * np.imag(a_of_z * self.carrier_pos)
+        a_out = a_of_z[-1] * np.sqrt(grid.duration)
 
         x_out = project_onto_basis(x_field * self.carrier_neg, self.basis)
         p_out = project_onto_basis(p_field * self.carrier_neg, self.basis)
@@ -251,33 +238,20 @@ class OracleResult:
         return light_commutator_from_quadratures(s, self.register, light())
 
 
-def _extract_coefficients(grid: OracleGrid, workers: int | None = None):
+def _extract_coefficients(grid: OracleGrid):
     register = grid.register()
     integrator = _PassIntegrator(grid)
     dim = len(register)
-    probes = []
-    for k in range(dim):
-        for value in (1.0, 1.0j):
-            amps = np.zeros(dim, dtype=complex)
-            amps[k] = value
-            probes.append(amps)
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(integrator.run, probes))
-    else:
-        outputs = [integrator.run(p) for p in probes]
     linear = np.empty((dim, dim), dtype=complex)
     conjugate = np.empty((dim, dim), dtype=complex)
-    for k in range(dim):
-        out_unit, out_imag = outputs[2 * k], outputs[2 * k + 1]
+    for k, probe in enumerate(np.eye(dim, dtype=complex)):
+        out_unit, out_imag = integrator.run(probe), integrator.run(1j * probe)
         linear[:, k] = (out_unit - 1j * out_imag) / 2
         conjugate[:, k] = (out_unit + 1j * out_imag) / 2
     return register, linear, conjugate
 
 
-def extract_map(
-    grid: OracleGrid, refinement_levels: int = 0, workers: int | None = None
-) -> OracleResult:
+def extract_map(grid: OracleGrid, refinement_levels: int = 0) -> OracleResult:
     """Assemble the full single-pass map from unit-amplitude probes.
 
     Each register mode is probed with amplitudes 1 and i; the C-linear and
@@ -285,13 +259,13 @@ def extract_map(
     the extraction is repeated on 2x, 4x, ... finer grids to measure
     convergence; the reported coefficients are those of the requested grid.
     """
-    register, linear, conjugate = _extract_coefficients(grid, workers)
+    register, linear, conjugate = _extract_coefficients(grid)
     ratios: list[float] = []
     order = None
     tolerance = None
     prev_linear, prev_conjugate = linear, conjugate
     for level in range(1, refinement_levels + 1):
-        _, fine_linear, fine_conjugate = _extract_coefficients(grid.refined(2**level), workers)
+        _, fine_linear, fine_conjugate = _extract_coefficients(grid.refined(2**level))
         change = max(
             float(np.max(np.abs(fine_linear - prev_linear))),
             float(np.max(np.abs(fine_conjugate - prev_conjugate))),

@@ -15,6 +15,7 @@ forms serve as independent cross-checks in the test suite.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -54,6 +55,9 @@ class ProtocolConfig:
     grating_phase: float = 200 * np.pi
 
     def __post_init__(self):
+        for name in ("kappa", "grating_phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         if self.order_max < 2:

@@ -128,13 +128,33 @@ def test_criterion_5_oracle_equivalence():
     assert elapsed < 60.0
 
 
+def test_criterion_5_oracle_equivalence_at_1000_periods():
+    start = time.perf_counter()
+    grid = OracleGrid(grating_phase=2000 * np.pi, kappa=1.0, order_max=4)
+    result = extract_map(grid)
+    analytic = single_pass(
+        ProtocolConfig(kappa=1.0, order_max=4, grating_phase=grid.grating_phase)
+    )
+    rep = compare(result, analytic, tolerance=0.01)
+    leak_100 = extract_map(
+        OracleGrid(grating_phase=200 * np.pi, kappa=1.0, order_max=4)
+    ).leakage_magnitude()
+    leak_1000 = result.leakage_magnitude()
+    elapsed = time.perf_counter() - start
+    ok = rep.passed and leak_1000 < leak_100
+    report(5, ok, f"1000 periods: oracle agrees within 1% (max rel {rep.max_relative:.2e}); "
+                  f"leakage {leak_1000:.2e} below {leak_100:.2e} at 100 periods; {elapsed:.1f}s")
+    assert rep.passed, rep.summary()
+    assert leak_1000 < leak_100
+
+
 def test_criterion_6_commutator_preservation():
     analytic_comm = output_commutator(
         full_cycle(ProtocolConfig(kappa=1.0)), CommutatorTable(), light("R")
     )
     analytic_ok = abs(analytic_comm - 1.0) <= 1e-12
     oracle_result = extract_map(
-        OracleGrid(grating_phase=20 * np.pi, kappa=1.0, order_max=4, t_points=100),
+        OracleGrid(grating_phase=20 * np.pi, kappa=1.0, order_max=4),
         refinement_levels=1,
     )
     oracle_dev = abs(oracle_result.light_commutator() - 1.0)

@@ -186,3 +186,9 @@ def test_covariance_spec_validation():
     assert vr == pytest.approx(0.5 * np.exp(2.0))
     # zero variance is the ideal-squeezing limit and is admitted
     CovarianceSpec(variances={spin_x(0): (0.0, 0.0)})
+    with pytest.raises(ValueError, match="NaN"):
+        CovarianceSpec(variances={spin_x(0): (np.nan, 0.5)})
+    with pytest.raises(ValueError, match="finite"):
+        CovarianceSpec(default=np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        CovarianceSpec.with_squeezing([spin_x(0)], r=np.nan)

@@ -186,6 +186,60 @@ def test_validation_errors_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["maps", "--kappa", "nan"], "kappa"),
+        (["sweep-kappa", "--kappa-max", "nan"], "kappa-max"),
+        (["sweep-kappa", "--kappa-min=-inf"], "kappa-min"),
+        (["fidelity", "--squeeze-r", "nan"], "squeeze-r"),
+        (["squeeze-sweep", "--r-min", "nan"], "r-min"),
+        (["squeeze-sweep", "--r-max", "inf"], "r-max"),
+        (["oracle-verify", "--kappa", "nan"], "kappa"),
+        (["oracle-verify", "--grating-periods", "inf"], "grating-periods"),
+        (["oracle-verify", "--tolerance", "nan"], "tolerance"),
+    ],
+)
+def test_non_finite_parameters_exit_1(tmp_path, capsys, argv, name):
+    out_file = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--out", str(out_file))
+    assert code == 1
+    assert f"{name} must be finite" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["maps", "--kappa", "1e70"], ["sweep-kappa", "--kappa-max", "1e70"]],
+)
+def test_overflowing_maps_are_not_written(tmp_path, capsys, argv):
+    out_file = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code, _, err = run(capsys, *argv, "--out", str(out_file))
+    assert code == 1
+    assert "kappa" in err and "overflows" in err
+    assert not out_file.exists()
+
+
+def test_oracle_verify_ignores_t_steps(tmp_path, capsys):
+    payloads = []
+    for extra in ([], ["--t-steps", "7"]):
+        out_file = tmp_path / f"oracle{len(extra)}.json"
+        code, _, _ = run(
+            capsys,
+            "oracle-verify",
+            "--grating-periods", "20",
+            "--z-per-period", "20",
+            "--tolerance", "0.05",
+            "--out", str(out_file),
+            *extra,
+        )
+        assert code == 0
+        payloads.append(out_file.read_bytes())
+    assert payloads[0] == payloads[1]
+    assert "t_points" not in json.loads(payloads[0])["grid"]
+
+
 def test_identical_config_gives_identical_bytes(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"

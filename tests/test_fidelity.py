@@ -102,6 +102,13 @@ def test_ten_pixel_fidelity_is_power_of_single_pixel():
     assert_allclose(report.f_av, 60 / 71, rtol=1e-12)
 
 
+def test_many_pixel_vacuum_fidelity_does_not_underflow():
+    # the plain determinant product overflows here and gave f_av = 0
+    report = vacuum_fidelity(pixel_count=2200)
+    assert_allclose(report.f_av, 60 / 71, rtol=0, atol=1e-12)
+    assert report.beats_classical and report.beats_cloning
+
+
 def test_determinant_reduces_to_product_for_diagonal_covariance():
     rng = np.random.default_rng(3)
     diag = rng.uniform(0.0, 1.0, size=5)

@@ -10,9 +10,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from holomem.algebra import light, spin_p, spin_x
+from holomem.basis import project_onto_basis
 from holomem.oracle import (
     OracleGrid,
     OracleResult,
+    _PassIntegrator,
     compare,
     extract_map,
     integrate_single_pass,
@@ -21,7 +23,7 @@ from holomem.oracle import (
 )
 from holomem.protocol import ProtocolConfig, double_pass_write, full_cycle, single_pass
 
-SMALL = dict(grating_phase=20 * np.pi, kappa=1.0, order_max=4, t_points=100)
+SMALL = dict(grating_phase=20 * np.pi, kappa=1.0, order_max=4)
 
 
 def small_grid(**overrides):
@@ -37,9 +39,7 @@ def analytic(grid):
 
 def test_grid_validation():
     with pytest.raises(ValueError, match="coarse"):
-        OracleGrid(grating_phase=20 * np.pi, z_points=80, t_points=100)
-    with pytest.raises(ValueError, match="t_points"):
-        OracleGrid(grating_phase=20 * np.pi, t_points=50)
+        OracleGrid(grating_phase=20 * np.pi, z_points=80)
     with pytest.raises(ValueError):
         OracleGrid(grating_phase=-1.0)
     with pytest.raises(ValueError):
@@ -49,7 +49,6 @@ def test_grid_validation():
 def test_default_grid_resolution():
     grid = OracleGrid(grating_phase=200 * np.pi)
     assert grid.z_points == 4001  # 40 points per period, 100 periods
-    assert grid.t_points == 200
     assert grid.periods == pytest.approx(100.0)
 
 
@@ -153,7 +152,7 @@ def test_deviation_grows_tenfold_at_tenth_of_the_phase():
     # counter-rotating terms scale like 1/(grating phase)
     leak_small = extract_map(small_grid()).leakage_magnitude()
     leak_large = extract_map(
-        OracleGrid(grating_phase=200 * np.pi, kappa=1.0, order_max=4, t_points=100)
+        OracleGrid(grating_phase=200 * np.pi, kappa=1.0, order_max=4)
     ).leakage_magnitude()
     assert 6.0 <= leak_small / leak_large <= 15.0
 
@@ -202,9 +201,50 @@ def test_numerical_compositions_track_analytic_maps():
     assert cycle_dev.max() < 0.1
 
 
-def test_thread_pool_extraction_matches_sequential():
-    grid = small_grid(order_max=2)
-    seq = extract_map(grid)
-    par = extract_map(grid, workers=4)
-    assert_allclose(seq.linear, par.linear, atol=0)
-    assert_allclose(seq.conjugate, par.conjugate, atol=0)
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("kappa", np.nan),
+        ("grating_phase", np.inf),
+        ("transverse_phase_shift", np.nan),
+        ("length", np.inf),
+        ("duration", np.nan),
+    ],
+)
+def test_grid_rejects_non_finite_parameters(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        OracleGrid(**{"grating_phase": 20 * np.pi, name: value})
+
+
+def euler_time_loop(grid, amplitudes, t_points=100):
+    """One pass integrated by explicit time steps, re-solving a(z) each step.
+
+    This is the time loop the oracle ran before it integrated the pass
+    exactly in time; it is kept here as the reference for that shortcut.
+    """
+    integ = _PassIntegrator(grid)
+    n_spin = grid.order_max + 1
+    coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
+    dt = grid.duration / t_points
+    x_field = 2 * np.real(np.outer(amplitudes[1 : 1 + n_spin], integ.carrier_pos))
+    p_field = 2 * np.real(np.outer(amplitudes[1 + n_spin :], integ.carrier_pos))
+    x_field = np.sum(x_field * integ.thetas, axis=0)
+    p_field = np.sum(p_field * integ.thetas, axis=0)
+    a_boundary = amplitudes[0] / np.sqrt(grid.duration)
+    a_time_sum = 0.0 + 0.0j
+    for _ in range(t_points):
+        a_of_z = a_boundary + coupling * integ._cumulative_source_integral(p_field)
+        x_field = x_field + dt * 2 * coupling * np.imag(a_of_z * integ.carrier_pos)
+        a_time_sum += a_of_z[-1] * dt
+    x_out = project_onto_basis(x_field * integ.carrier_neg, integ.basis)
+    p_out = project_onto_basis(p_field * integ.carrier_neg, integ.basis)
+    return np.concatenate([[a_time_sum / np.sqrt(grid.duration)], x_out, p_out])
+
+
+@pytest.mark.parametrize("scales", [{}, {"length": 2.5, "duration": 3.0}])
+def test_single_sweep_matches_euler_time_loop(scales):
+    grid = small_grid(kappa=1.3, **scales)
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        probe = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+        assert_allclose(integrate_single_pass(grid, probe), euler_time_loop(grid, probe), atol=1e-12)

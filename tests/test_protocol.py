@@ -26,6 +26,10 @@ def test_config_validation():
         ProtocolConfig(kappa=-0.1)
     with pytest.raises(ValueError):
         ProtocolConfig(order_max=1)
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        ProtocolConfig(kappa=np.nan)
+    with pytest.raises(ValueError, match="grating_phase must be finite"):
+        ProtocolConfig(grating_phase=np.inf)
     with pytest.warns(UserWarning, match="interference layers"):
         ProtocolConfig(grating_phase=8 * np.pi)
 
