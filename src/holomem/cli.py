@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .algebra import light
 from .fidelity import (
+    PixelNoiseModel,
     fidelity_from_covariance,
     noise_covariance,
     protocol_noise,
@@ -167,11 +168,13 @@ def _print_map(name: str, inout_map) -> None:
 
 def cmd_maps(params: dict, out: str | None) -> int:
     config = ProtocolConfig(kappa=params["kappa"], order_max=int(params["order_max"]))
-    maps = {
-        "single_pass": single_pass(config),
-        "double_pass_write": double_pass_write(config),
-        "full_cycle": full_cycle(config),
-    }
+    # An overflowing coupling is reported once, by _require_finite_map.
+    with np.errstate(all="ignore"):
+        maps = {
+            "single_pass": single_pass(config),
+            "double_pass_write": double_pass_write(config),
+            "full_cycle": full_cycle(config),
+        }
     for name, m in maps.items():
         _require_finite_map(name, m, config.kappa)
     if out is None:
@@ -229,7 +232,8 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     rows = []
     powers = []
     for kappa in kappas:
-        cycle = full_cycle(ProtocolConfig(kappa=float(kappa), order_max=order_max))
+        with np.errstate(all="ignore"):
+            cycle = full_cycle(ProtocolConfig(kappa=float(kappa), order_max=order_max))
         _require_finite_map("full_cycle", cycle, float(kappa))
         row_coeffs = cycle.row(light("R"))
         gain = row_coeffs[light("W")]
@@ -238,8 +242,12 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
             abs(c) ** 2 for lab, c in row_coeffs.items() if lab != light("W")
         )
         # The determinant-formula fidelity assumes the signal restored with
-        # unit amplitude, so it is only quoted where the gain is 1.
-        f_av = 1.0 / (1.0 + noise_var) if abs(gain - 1.0) <= 1e-9 else float("nan")
+        # unit amplitude, so it is only quoted where the gain is 1.  With
+        # vacuum inputs noise_var is the variance of either noise quadrature.
+        if abs(gain - 1.0) <= 1e-9:
+            f_av = fidelity_from_covariance(PixelNoiseModel(1, noise_var, noise_var)).f_av
+        else:
+            f_av = float("nan")
         powers.append(power)
         rows.append(
             [

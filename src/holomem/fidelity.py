@@ -11,10 +11,17 @@ is F_av = F_N^(1/N).  Vacuum spins give C^X = C^P = (11/60) I, hence
 F_av = 60/71 ~ 0.845, above both the classical benchmark 1/2 and the
 cloning limit 2/3; squeezing the three contributing spin modes drives
 F_av toward 1.
+
+Pixels are independent, so the protocol's covariances are a variance times
+the identity.  Such a model is carried as one variance per quadrature and
+its log-determinant is N (log1p(var_x) + log1p(var_p)): the cost does not
+depend on N.  Only explicitly given (correlated) N x N matrices are
+factored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,26 +36,73 @@ CLONING_BENCHMARK = 2.0 / 3.0
 _CROSS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class PixelNoiseModel:
-    """Noise quadrature covariances over N pixellized transverse modes."""
+    """Noise quadrature covariances over N pixellized transverse modes.
 
-    pixel_count: int
-    cov_x: np.ndarray
-    cov_p: np.ndarray
+    Each of cov_x and cov_p is either a scalar variance, meaning that
+    variance times the N x N identity (independent pixels), or an explicit
+    N x N matrix (correlated pixels).  A scalar must be >= 0; it may be
+    infinite (the antisqueezed partner of an ideal squeeze), which gives
+    zero fidelity.  A matrix must be finite, symmetric and positive
+    semidefinite.  Reading cov_x or cov_p always gives the N x N matrix,
+    built on demand for a scalar; log_det never builds it.
+    """
 
-    def __post_init__(self):
-        if self.pixel_count < 1:
+    def __init__(self, pixel_count: int, cov_x, cov_p):
+        if pixel_count < 1:
             raise ValueError("pixel_count must be >= 1")
-        for name, cov in (("cov_x", self.cov_x), ("cov_p", self.cov_p)):
-            cov = np.asarray(cov, dtype=float)
-            if cov.shape != (self.pixel_count, self.pixel_count):
-                raise ValueError(f"{name} must be {self.pixel_count}x{self.pixel_count}")
-            if not np.allclose(cov, cov.T):
-                raise ValueError(f"{name} must be symmetric")
-            if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
-                raise ValueError(f"{name} must be positive semidefinite")
-            object.__setattr__(self, name, cov)
+        self.pixel_count = pixel_count
+        self._cov_x = _checked_covariance("cov_x", cov_x, pixel_count)
+        self._cov_p = _checked_covariance("cov_p", cov_p, pixel_count)
+
+    @property
+    def cov_x(self) -> np.ndarray:
+        return _as_matrix(self._cov_x, self.pixel_count)
+
+    @property
+    def cov_p(self) -> np.ndarray:
+        return _as_matrix(self._cov_p, self.pixel_count)
+
+    def log_det(self) -> float:
+        """log det(I + C^X) + log det(I + C^P)."""
+        n = self.pixel_count
+        return _log_det_one_plus(self._cov_x, n) + _log_det_one_plus(self._cov_p, n)
+
+
+def _checked_covariance(name: str, cov, n: int) -> float | np.ndarray:
+    """A validated scalar variance (as a float) or N x N matrix."""
+    if np.ndim(cov) == 0:
+        var = float(cov)
+        # written so that NaN fails too
+        if not var >= 0:
+            raise ValueError(f"{name} must be a variance >= 0, got {var}")
+        return var
+    cov = np.asarray(cov, dtype=float)
+    if cov.shape != (n, n):
+        raise ValueError(f"{name} must be a scalar or {n}x{n}")
+    if not np.all(np.isfinite(cov)):
+        raise ValueError(f"{name} must be finite")
+    if not np.allclose(cov, cov.T):
+        raise ValueError(f"{name} must be symmetric")
+    if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
+        raise ValueError(f"{name} must be positive semidefinite")
+    return cov
+
+
+def _as_matrix(cov: float | np.ndarray, n: int) -> np.ndarray:
+    if isinstance(cov, np.ndarray):
+        return cov
+    # fill_diagonal, not cov * eye: 0 * inf off the diagonal would be NaN
+    matrix = np.zeros((n, n))
+    np.fill_diagonal(matrix, cov)
+    return matrix
+
+
+def _log_det_one_plus(cov: float | np.ndarray, n: int) -> float:
+    """log det(I + C) for an N x N covariance C."""
+    if isinstance(cov, np.ndarray):
+        return float(np.linalg.slogdet(np.eye(n) + cov)[1])
+    return n * math.log1p(cov)
 
 
 @dataclass(frozen=True)
@@ -78,9 +132,11 @@ def noise_covariance(
 
     in terms of the per-mode quadrature variances V.  Spin modes are
     independent across pixels, so both covariances are that variance times
-    the identity.  Specs that would correlate F_X with F_P (unequal re/im
-    variances on a mode with complex coefficient) are rejected, as the
-    pixel model carries no cross block.
+    the identity, and the model carries just the two variances.  A term
+    whose coefficient part is zero contributes nothing, even against an
+    infinite variance.  Specs that would correlate F_X with F_P (unequal
+    re/im variances on a mode with complex coefficient) are rejected, as
+    the pixel model carries no cross block.
     """
     if pixel_count < 1:
         raise ValueError("pixel_count must be >= 1")
@@ -89,13 +145,19 @@ def noise_covariance(
     cross = 0.0
     for label, coeff in noise.items():
         v_re, v_im = spin_spec.variance_pair(label)
-        var_x += coeff.real**2 * v_re + coeff.imag**2 * v_im
-        var_p += coeff.imag**2 * v_re + coeff.real**2 * v_im
-        cross += coeff.real * coeff.imag * (v_re - v_im)
+        re2, im2 = coeff.real**2, coeff.imag**2
+        var_x += _term(re2, v_re) + _term(im2, v_im)
+        var_p += _term(im2, v_re) + _term(re2, v_im)
+        if v_re != v_im:
+            cross += _term(coeff.real * coeff.imag, v_re - v_im)
     if abs(cross) > _CROSS_TOL:
         raise ValueError("X/P noise cross-correlations are not representable")
-    eye = np.eye(pixel_count)
-    return PixelNoiseModel(pixel_count=pixel_count, cov_x=var_x * eye, cov_p=var_p * eye)
+    return PixelNoiseModel(pixel_count, var_x, var_p)
+
+
+def _term(weight: float, variance: float) -> float:
+    """weight * variance, with a zero weight giving 0 also for an infinite variance."""
+    return weight * variance if weight else 0.0
 
 
 def fidelity_from_covariance(
@@ -104,11 +166,9 @@ def fidelity_from_covariance(
     """Determinant-formula fidelity of an N-pixel coherent input."""
     # log-determinants: det_x * det_p overflows from about 2100 vacuum pixels on
     n = model.pixel_count
-    eye = np.eye(n)
-    _, logdet_x = np.linalg.slogdet(eye + model.cov_x)
-    _, logdet_p = np.linalg.slogdet(eye + model.cov_p)
-    f_n = float(np.exp(-(logdet_x + logdet_p) / 2))
-    f_av = float(np.exp(-(logdet_x + logdet_p) / (2 * n)))
+    log_det = model.log_det()
+    f_n = math.exp(-log_det / 2)
+    f_av = math.exp(-log_det / (2 * n))
     return FidelityReport(
         pixel_count=n,
         f_n=f_n,

@@ -1,6 +1,8 @@
 """Command-line front-end: outputs, exit codes, determinism, config files."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +104,16 @@ def test_sweep_kappa_self_erasure_at_sqrt_two(capsys):
     rows = read_csv(out)
     assert abs(float(rows[-1]["recovery_re"])) < 1e-13
     assert code == 0
+
+
+def test_sweep_kappa_quotes_fidelity_only_at_unit_coupling(capsys):
+    code, out, _ = run(
+        capsys, "sweep-kappa", "--kappa-min", "0.9", "--kappa-max", "1.1", "--kappa-points", "3"
+    )
+    assert code == 0
+    f_av = [float(r["f_av"]) for r in read_csv(out)]
+    assert math.isnan(f_av[0]) and math.isnan(f_av[2])
+    assert f_av[1] == pytest.approx(60 / 71, abs=1e-12)
 
 
 def test_sweep_kappa_rejects_empty_range(capsys):
@@ -219,6 +231,18 @@ def test_overflowing_maps_are_not_written(tmp_path, capsys, argv):
     assert code == 1
     assert "kappa" in err and "overflows" in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["maps", "--kappa", "1e70"], ["sweep-kappa", "--kappa-max", "1e70"]],
+)
+def test_overflowing_maps_fail_cleanly_with_warnings_as_errors(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "kappa" in err
 
 
 def test_oracle_verify_ignores_t_steps(tmp_path, capsys):

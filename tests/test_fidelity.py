@@ -1,5 +1,9 @@
 """Noise covariance, determinant-formula fidelity and the squeezing sweep."""
 
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -71,6 +75,19 @@ def test_noise_covariance_rejects_cross_correlations():
         noise_covariance(noise, spec, pixel_count=1)
 
 
+def test_infinite_variance_gives_zero_fidelity_without_warning():
+    # p_0 enters with a real coefficient: its zero re variance contributes
+    # nothing to var F_X, its infinite im variance makes var F_P infinite
+    spec = CovarianceSpec(variances={spin_p(0): (0.0, math.inf)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = noise_covariance(protocol_noise(), spec, pixel_count=2)
+        report = fidelity_from_covariance(model)
+        assert np.all(model.cov_p == np.diag([math.inf, math.inf]))
+        assert np.all(np.isfinite(model.cov_x))
+    assert report.f_n == 0.0 and report.f_av == 0.0
+
+
 def test_pixel_noise_model_validation():
     with pytest.raises(ValueError):
         PixelNoiseModel(pixel_count=0, cov_x=np.zeros((0, 0)), cov_p=np.zeros((0, 0)))
@@ -82,6 +99,23 @@ def test_pixel_noise_model_validation():
         )
     with pytest.raises(ValueError, match="semidefinite"):
         PixelNoiseModel(pixel_count=1, cov_x=np.array([[-0.1]]), cov_p=np.eye(1))
+
+
+@pytest.mark.parametrize(
+    "cov_x", [math.nan, -0.1, np.zeros((2, 3)), np.full((2, 2), math.nan)]
+)
+def test_pixel_noise_model_rejects_bad_cov_x(cov_x):
+    with pytest.raises(ValueError, match="cov_x"):
+        PixelNoiseModel(pixel_count=2, cov_x=cov_x, cov_p=0.5)
+
+
+def test_scalar_model_matches_explicit_identity_matrix():
+    v = 11 / 60
+    scalar = fidelity_from_covariance(PixelNoiseModel(5, v, v))
+    matrix = fidelity_from_covariance(PixelNoiseModel(5, v * np.eye(5), v * np.eye(5)))
+    assert_allclose(scalar.f_n, matrix.f_n, rtol=1e-13)
+    assert_allclose(scalar.f_av, matrix.f_av, rtol=1e-13)
+    assert_allclose(PixelNoiseModel(5, v, v).cov_x, v * np.eye(5), rtol=0, atol=0)
 
 
 def test_single_pixel_vacuum_fidelity():
@@ -107,6 +141,18 @@ def test_many_pixel_vacuum_fidelity_does_not_underflow():
     report = vacuum_fidelity(pixel_count=2200)
     assert_allclose(report.f_av, 60 / 71, rtol=0, atol=1e-12)
     assert report.beats_classical and report.beats_cloning
+
+
+def test_million_pixel_vacuum_fidelity_builds_no_pixel_matrix():
+    # one 10^6 x 10^6 matrix would take 8 TB; the peak stays under 1 MB
+    tracemalloc.start()
+    try:
+        report = vacuum_fidelity(pixel_count=10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert_allclose(report.f_av, 60 / 71, rtol=0, atol=1e-12)
+    assert peak < 1_000_000
 
 
 def test_determinant_reduces_to_product_for_diagonal_covariance():
