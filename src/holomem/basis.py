@@ -175,4 +175,9 @@ def project_onto_basis(samples, basis: LegendreBasis) -> np.ndarray:
             f"z grid too coarse: {samples.size} points, need >= {min_points} "
             f"to resolve theta_{basis.order_max}"
         )
-    return _projector(basis, samples.size) @ samples
+    projector = _projector(basis, samples.size)
+    if np.iscomplexobj(samples):
+        # Two real products: projector @ samples would cast the projector to
+        # complex on every call.
+        return projector @ samples.real + 1j * (projector @ samples.imag)
+    return projector @ samples

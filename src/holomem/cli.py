@@ -85,9 +85,10 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def _require_finite_map(name: str, inout_map, kappa: float) -> None:
-    if not np.all(np.isfinite(inout_map.coefficients)):
-        raise ValueError(f"kappa = {kappa!r} is too large: the {name} map overflows")
+def _require_finite(name: str, values, kappa: float) -> None:
+    """A ValueError naming kappa unless every value (array or scalars) is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"kappa = {kappa!r} is too large: the {name} overflows")
 
 
 def _fmt(value) -> str:
@@ -110,7 +111,7 @@ def _write_table(out: str | None, header: list[str], rows: list[list[str]]) -> N
 
 
 def _write_json(out: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -168,7 +169,7 @@ def _print_map(name: str, inout_map) -> None:
 
 def cmd_maps(params: dict, out: str | None) -> int:
     config = ProtocolConfig(kappa=params["kappa"], order_max=int(params["order_max"]))
-    # An overflowing coupling is reported once, by _require_finite_map.
+    # An overflowing coupling is reported once, by _require_finite.
     with np.errstate(all="ignore"):
         maps = {
             "single_pass": single_pass(config),
@@ -176,7 +177,7 @@ def cmd_maps(params: dict, out: str | None) -> int:
             "full_cycle": full_cycle(config),
         }
     for name, m in maps.items():
-        _require_finite_map(name, m, config.kappa)
+        _require_finite(f"{name} map", m.coefficients, config.kappa)
     if out is None:
         print(f"kappa = {config.kappa}, order_max = {config.order_max}")
         for name, m in maps.items():
@@ -201,7 +202,10 @@ def cmd_fidelity(params: dict, out: str | None) -> int:
     config = ProtocolConfig(kappa=params["kappa"], order_max=int(params["order_max"]))
     # extract_noise rejects kappa != 1 with guidance; that surfaces here as
     # a validation error (exit code 1).
-    noise = extract_noise(full_cycle(config))
+    with np.errstate(all="ignore"):
+        cycle = full_cycle(config)
+    _require_finite("full_cycle map", cycle.coefficients, config.kappa)
+    noise = extract_noise(cycle)
     model = noise_covariance(noise, squeezed_spec(noise, r), pixels)
     report = fidelity_from_covariance(model, squeezing_r=r)
     header = ["kappa", "r", "pixels", "f_n", "f_av", "beats_classical", "beats_cloning"]
@@ -234,13 +238,13 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     for kappa in kappas:
         with np.errstate(all="ignore"):
             cycle = full_cycle(ProtocolConfig(kappa=float(kappa), order_max=order_max))
-        _require_finite_map("full_cycle", cycle, float(kappa))
-        row_coeffs = cycle.row(light("R"))
-        gain = row_coeffs[light("W")]
-        power = abs(gain) ** 2
-        noise_var = 0.5 * sum(
-            abs(c) ** 2 for lab, c in row_coeffs.items() if lab != light("W")
-        )
+            row_coeffs = cycle.coefficients[cycle.out_index(light("R"))]
+            weights = np.abs(row_coeffs) ** 2
+        _require_finite("full_cycle map", cycle.coefficients, float(kappa))
+        signal = cycle.in_index(light("W"))
+        gain, power = complex(row_coeffs[signal]), float(weights[signal])
+        noise_var = 0.5 * sum(float(w) for i, w in enumerate(weights) if i != signal)
+        _require_finite("recovery power or added noise", [power, noise_var], float(kappa))
         # The determinant-formula fidelity assumes the signal restored with
         # unit amplitude, so it is only quoted where the gain is 1.  With
         # vacuum inputs noise_var is the variance of either noise quadrature.
@@ -324,13 +328,23 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
         order_max=int(params["order_max"]),
         z_points=intervals + 1,
     )
-    analytic = single_pass(
-        ProtocolConfig(
-            kappa=grid.kappa, order_max=grid.order_max, grating_phase=grating_phase
-        )
+    config = ProtocolConfig(
+        kappa=grid.kappa, order_max=grid.order_max, grating_phase=grating_phase
     )
-    result = extract_map(grid, refinement_levels=1)
-    report = compare(result, analytic, tolerance)
+    # An overflowing coupling is reported once, by _require_finite.
+    with np.errstate(all="ignore"):
+        analytic = single_pass(config)
+        result = extract_map(grid, refinement_levels=1)
+        report = compare(result, analytic, tolerance)
+        light_commutator = result.light_commutator()
+    _require_finite("single_pass map", analytic.coefficients, grid.kappa)
+    _require_finite("oracle map", [result.linear, result.conjugate], grid.kappa)
+    _require_finite(
+        "oracle report",
+        [report.max_relative, report.max_absolute, report.max_zero_entry, report.leakage,
+         light_commutator, result.reported_tolerance, *result.refinement_ratios],
+        grid.kappa,
+    )
     print(report.summary())
     print(
         f"grid: {grid.z_points} z points; "
@@ -354,7 +368,7 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
             },
             "refinement_ratios": list(result.refinement_ratios),
             "reported_tolerance": result.reported_tolerance,
-            "light_commutator": result.light_commutator(),
+            "light_commutator": light_commutator,
         }
         _write_json(out, payload)
     return 0 if report.passed else 2

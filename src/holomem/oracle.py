@@ -12,12 +12,12 @@ for one pass of duration T (retardation neglected, diffraction folded into
 the grating phase per transverse mode).  Without a collective spin
 rotation during the interaction P is static, so a(z) does not depend on
 time and X grows linearly over the pulse: one z sweep integrates the pass
-exactly in time.  Because the equations are linear,
-the full input-output map is recovered column by column from unit-amplitude
-probes.  The response is R-linear rather than C-linear: besides the
-analytic coefficients the probes expose a conjugate-amplitude (counter-
-rotating) block that decays like 1/(Delta_k L) and is reported separately
-as leakage.
+exactly in time.  The response is R-linear rather than C-linear, so the
+sweep carries each field as its pair of responses to the input amplitudes
+and to their conjugates, and yields the whole input-output map at once:
+the C-linear block comparable with the analytic coefficients, and a
+conjugate-amplitude (counter-rotating) block that decays like
+1/(Delta_k L) and is reported separately as leakage.
 
 The z integrals of carrier-weighted fields use a Filon-type rule (exact
 integration of the carrier against a piecewise-linear envelope), so the
@@ -58,7 +58,7 @@ class OracleGrid:
     effective grating phase (the oracle is one-dimensional per transverse
     mode).  z_points = None picks the default resolution of
     40 points per grating period.  Time needs no grid: the pass is exact
-    in time (see _PassIntegrator.run).  Cell length and pulse duration
+    in time (see _PassIntegrator.pass_map).  Cell length and pulse duration
     are free scales.
     """
 
@@ -155,32 +155,59 @@ class _PassIntegrator:
         seg = self.h * self.carrier_neg[:-1] * (self._w0 * p_field[:-1] + self._w1 * p_field[1:])
         return np.concatenate([[0.0], np.cumsum(seg)])
 
-    def run(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Propagate one pass from complex register amplitudes.
+    def pass_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """One pass as out = linear @ u + conjugate @ conj(u) over the register.
 
         Spin amplitudes v seed Hermitian (pixel-level) fields
         2 theta_n(z) Re[v e^{i Delta_k z}]; the light amplitude is the
         pulse-averaged convention, so the instantaneous boundary value is
         v/sqrt(T).  P never evolves, so one z sweep gives the field a(z)
-        for the whole pulse; X then grows by T times its constant rate, and
-        the pulse-averaged output is a(L/2) sqrt(T).  Both are exact in
-        time.
+        for the whole pulse; X then grows by T times its constant rate
+        2 coupling Im[a(z) e^{+i Delta_k z}], and the pulse-averaged output
+        is a(L/2) sqrt(T).  Both are exact in time.
+
+        Every step is R-linear, so each field is carried as its pair of
+        responses to u and conj(u): Re w = (w + conj w)/2 and
+        Im w = (w - conj w)/(2i) swap and conjugate the pair, while the
+        carrier products, the source integral and the projection act on
+        each part alone.  With c = e^{-i Delta_k z}, a seed v theta gives
+        X or P the parts (theta/c, theta c), read out as Proj(theta) and
+        Proj(theta c^2); p_k drives a(z) = alpha u + beta conj(u) with
+        alpha, beta the source integrals of theta_k/c and theta_k c.
         """
         grid = self.grid
         n_spin = grid.order_max + 1
+        dim = 1 + 2 * n_spin
         coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
+        sqrt_t = np.sqrt(grid.duration)
+        x_rows, p_rows = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
+        counter = self.carrier_neg**2  # counter-rotating factor of a readout
+        project = lambda field: project_onto_basis(field, self.basis)
+        x_gain = -1j * grid.duration * coupling  # X gains x_gain (a/c - conj(a) c)
+        linear = np.zeros((dim, dim), dtype=complex)
+        conjugate = np.zeros((dim, dim), dtype=complex)
 
-        a_boundary = amplitudes[0] / np.sqrt(grid.duration)
-        x_field = 2 * np.real((amplitudes[1 : 1 + n_spin] @ self.thetas) * self.carrier_pos)
-        p_field = 2 * np.real((amplitudes[1 + n_spin :] @ self.thetas) * self.carrier_pos)
+        # Light: a(z) = a_in / sqrt(T) along the whole cell.
+        linear[0, 0] = 1.0
+        linear[x_rows, 0] = -1j * coupling * sqrt_t * project(np.ones(self.z.size))
+        conjugate[x_rows, 0] = 1j * coupling * sqrt_t * project(counter)
 
-        a_of_z = a_boundary + coupling * self._cumulative_source_integral(p_field)
-        x_field += grid.duration * 2 * coupling * np.imag(a_of_z * self.carrier_pos)
-        a_out = a_of_z[-1] * np.sqrt(grid.duration)
+        # One spin order at a time: stacking them all as (n_spin, z) arrays
+        # costs more peak memory than it saves time.
+        for k, theta in enumerate(self.thetas):
+            x_col, p_col = 1 + k, 1 + n_spin + k
+            seed_linear = project(theta)
+            seed_conjugate = project(theta * counter)
+            linear[x_rows, x_col] = linear[p_rows, p_col] = seed_linear
+            conjugate[x_rows, x_col] = conjugate[p_rows, p_col] = seed_conjugate
 
-        x_out = project_onto_basis(x_field * self.carrier_neg, self.basis)
-        p_out = project_onto_basis(p_field * self.carrier_neg, self.basis)
-        return np.concatenate([[a_out], x_out, p_out])
+            alpha = coupling * self._cumulative_source_integral(theta * self.carrier_pos)
+            beta = coupling * self._cumulative_source_integral(theta * self.carrier_neg)
+            linear[0, p_col] = alpha[-1] * sqrt_t
+            conjugate[0, p_col] = beta[-1] * sqrt_t
+            linear[x_rows, p_col] = x_gain * project(alpha - np.conj(beta) * counter)
+            conjugate[x_rows, p_col] = x_gain * project(beta - np.conj(alpha) * counter)
+        return linear, conjugate
 
 
 def integrate_single_pass(
@@ -201,7 +228,8 @@ def integrate_single_pass(
         amps = np.asarray(initial, dtype=complex)
         if amps.shape != (len(register),):
             raise ValueError(f"expected {len(register)} amplitudes, got shape {amps.shape}")
-    return _PassIntegrator(grid).run(amps)
+    linear, conjugate = _PassIntegrator(grid).pass_map()
+    return linear @ amps + conjugate @ np.conj(amps)
 
 
 @dataclass(frozen=True)
@@ -238,34 +266,20 @@ class OracleResult:
         return light_commutator_from_quadratures(s, self.register, light())
 
 
-def _extract_coefficients(grid: OracleGrid):
-    register = grid.register()
-    integrator = _PassIntegrator(grid)
-    dim = len(register)
-    linear = np.empty((dim, dim), dtype=complex)
-    conjugate = np.empty((dim, dim), dtype=complex)
-    for k, probe in enumerate(np.eye(dim, dtype=complex)):
-        out_unit, out_imag = integrator.run(probe), integrator.run(1j * probe)
-        linear[:, k] = (out_unit - 1j * out_imag) / 2
-        conjugate[:, k] = (out_unit + 1j * out_imag) / 2
-    return register, linear, conjugate
-
-
 def extract_map(grid: OracleGrid, refinement_levels: int = 0) -> OracleResult:
-    """Assemble the full single-pass map from unit-amplitude probes.
+    """The full single-pass map, split into its C-linear and conjugate parts.
 
-    Each register mode is probed with amplitudes 1 and i; the C-linear and
-    conjugate responses follow from the pair.  With refinement_levels > 0
-    the extraction is repeated on 2x, 4x, ... finer grids to measure
-    convergence; the reported coefficients are those of the requested grid.
+    With refinement_levels > 0 the extraction is repeated on 2x, 4x, ...
+    finer grids to measure convergence; the reported coefficients are those
+    of the requested grid.
     """
-    register, linear, conjugate = _extract_coefficients(grid)
+    linear, conjugate = _PassIntegrator(grid).pass_map()
     ratios: list[float] = []
     order = None
     tolerance = None
     prev_linear, prev_conjugate = linear, conjugate
     for level in range(1, refinement_levels + 1):
-        _, fine_linear, fine_conjugate = _extract_coefficients(grid.refined(2**level))
+        fine_linear, fine_conjugate = _PassIntegrator(grid.refined(2**level)).pass_map()
         change = max(
             float(np.max(np.abs(fine_linear - prev_linear))),
             float(np.max(np.abs(fine_conjugate - prev_conjugate))),
@@ -277,7 +291,7 @@ def extract_map(grid: OracleGrid, refinement_levels: int = 0) -> OracleResult:
     if ratios:
         tolerance = 2 * ratios[-1]
     return OracleResult(
-        register=register,
+        register=grid.register(),
         linear=linear,
         conjugate=conjugate,
         grid=grid,

@@ -102,18 +102,21 @@ def single_pass(config: ProtocolConfig, stage: str = "") -> LinearInOutMap:
     dim = len(register)
     q = q_matrix(n_max)
     kappa = config.kappa
+    # A float product overflows to inf, which callers detect; kappa**2 would
+    # raise OverflowError instead.
+    second_order = -1j * (kappa * kappa) / 2
     mat = np.eye(dim, dtype=complex)
     a_i = 0
     x_i = lambda n: 1 + n
     p_i = lambda n: 2 + n_max + n
     mat[a_i, p_i(0)] = kappa
     mat[x_i(0), a_i] = -1j * kappa
-    mat[x_i(0), p_i(0)] = -1j * kappa**2 / 2
-    mat[x_i(0), p_i(1)] = -1j * kappa**2 / 2 * q[0, 1]
+    mat[x_i(0), p_i(0)] = second_order
+    mat[x_i(0), p_i(1)] = second_order * q[0, 1]
     for n in range(1, n_max + 1):
-        mat[x_i(n), p_i(n - 1)] = -1j * kappa**2 / 2 * q[n, n - 1]
+        mat[x_i(n), p_i(n - 1)] = second_order * q[n, n - 1]
         if n < n_max:
-            mat[x_i(n), p_i(n + 1)] = -1j * kappa**2 / 2 * q[n, n + 1]
+            mat[x_i(n), p_i(n + 1)] = second_order * q[n, n + 1]
     return LinearInOutMap(register, register, mat)
 
 
@@ -211,7 +214,8 @@ def extract_noise(cycle: LinearInOutMap) -> NoiseCoefficients:
     except StopIteration:
         raise ValueError("expected a full-cycle map with W and R light modes") from None
     row = cycle.row(a_r)
-    if abs(row[a_w] - 1.0) > NOISE_TOLERANCE or abs(row[a_r]) > NOISE_TOLERANCE:
+    # Phrased so that a NaN coefficient fails the check too.
+    if not (abs(row[a_w] - 1.0) <= NOISE_TOLERANCE and abs(row[a_r]) <= NOISE_TOLERANCE):
         raise ValueError(
             "the noise decomposition a_out = a_in + f holds only at kappa = 1; "
             "use the full-cycle map directly for other couplings"

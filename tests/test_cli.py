@@ -245,6 +245,57 @@ def test_overflowing_maps_fail_cleanly_with_warnings_as_errors(capsys, argv):
     assert "kappa" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maps", "--kappa", "1e160"],
+        ["fidelity", "--kappa", "1e160"],
+        ["sweep-kappa", "--kappa-max", "1e40"],
+        ["oracle-verify", "--kappa", "1e200"],
+    ],
+)
+def test_kappa_past_float_range_exits_1(tmp_path, capsys, argv):
+    # kappa**2 (maps, fidelity, oracle-verify) or the recovery power
+    # |gain|**2 (sweep-kappa) leaves the float range: Python float
+    # arithmetic would raise OverflowError where numpy gives inf
+    out_file = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv, "--out", str(out_file))
+    assert code == 1
+    assert "kappa" in err and "overflows" in err
+    assert "Traceback" not in err
+    assert not out_file.exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("kappa", ["1e150", "1e154", "1.3e154", "1e155"])
+def test_oracle_verify_near_overflow_writes_strict_json_or_exits_1(tmp_path, capsys, kappa):
+    out_file = tmp_path / "oracle.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            capsys,
+            "oracle-verify",
+            "--kappa", kappa,
+            "--grating-periods", "20",
+            "--z-per-period", "20",
+            "--tolerance", "0.05",
+            "--out", str(out_file),
+        )
+    assert "Traceback" not in err
+    if code == 0:
+        payload = json.loads(out_file.read_text(), parse_constant=_reject_constant)
+        assert payload["passed"] is True
+    else:
+        assert code == 1
+        assert "kappa" in err
+        assert not out_file.exists()
+
+
 def test_oracle_verify_ignores_t_steps(tmp_path, capsys):
     payloads = []
     for extra in ([], ["--t-steps", "7"]):

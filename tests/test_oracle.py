@@ -5,6 +5,8 @@ the whole module stays fast; the production-resolution comparison at the
 default grid lives in the acceptance suite.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -248,3 +250,36 @@ def test_single_sweep_matches_euler_time_loop(scales):
     for _ in range(4):
         probe = rng.standard_normal(11) + 1j * rng.standard_normal(11)
         assert_allclose(integrate_single_pass(grid, probe), euler_time_loop(grid, probe), atol=1e-12)
+
+
+@pytest.mark.parametrize("scales", [{}, {"length": 2.5, "duration": 3.0}])
+def test_extracted_map_matches_probes_of_euler_time_loop(scales):
+    # Probing mode k with amplitudes 1 and i gives out(e_k) = A_k + B_k and
+    # out(i e_k) = i (A_k - B_k), so each column of the C-linear part A and
+    # the conjugate part B follows from the pair.
+    grid = small_grid(kappa=1.3, **scales)
+    dim = len(grid.register())
+    linear = np.empty((dim, dim), dtype=complex)
+    conjugate = np.empty((dim, dim), dtype=complex)
+    for k, probe in enumerate(np.eye(dim, dtype=complex)):
+        out_unit, out_imag = euler_time_loop(grid, probe), euler_time_loop(grid, 1j * probe)
+        linear[:, k] = (out_unit - 1j * out_imag) / 2
+        conjugate[:, k] = (out_unit + 1j * out_imag) / 2
+    result = extract_map(grid)
+    assert_allclose(result.linear, linear, atol=1e-12)
+    assert_allclose(result.conjugate, conjugate, atol=1e-12)
+
+
+def test_extract_map_peak_memory():
+    # Memory guard independent of timing: spin orders are swept one at a
+    # time; stacking all of them as (order_max + 1, z) arrays about doubles
+    # the traced peak.
+    grid = OracleGrid(grating_phase=200 * np.pi)
+    extract_map(grid, refinement_levels=1)  # fill the projector cache
+    tracemalloc.start()
+    try:
+        extract_map(grid, refinement_levels=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.1e6

@@ -173,6 +173,15 @@ def test_extract_noise_rejects_other_couplings():
         extract_noise(full_cycle(ProtocolConfig(kappa=1.2)))
 
 
+def test_extract_noise_rejects_overflowed_cycle():
+    # kappa = 1e160 leaves NaN in the retrieved-light row, which compares
+    # false against any tolerance
+    with np.errstate(all="ignore"):
+        cycle = full_cycle(ProtocolConfig(kappa=1e160))
+    with pytest.raises(ValueError, match="kappa = 1"):
+        extract_noise(cycle)
+
+
 def test_extract_noise_rejects_non_cycle_maps():
     with pytest.raises(ValueError, match="full-cycle"):
         extract_noise(single_pass(ProtocolConfig(kappa=1.0)))
