@@ -51,7 +51,6 @@ from .protocol import (
     extract_noise,
     full_cycle,
     interpass_transform,
-    signal_recovery_coefficient,
     single_pass,
 )
 
@@ -92,7 +91,6 @@ __all__ = [
     "project_onto_basis",
     "propagate_covariance",
     "q_matrix",
-    "signal_recovery_coefficient",
     "single_pass",
     "spin_p",
     "spin_x",

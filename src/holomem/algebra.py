@@ -151,10 +151,11 @@ class LinearInOutMap:
         if self.input_register != self.output_register:
             raise ValueError("only endomaps (equal registers) can be embedded")
         register = _check_register(register)
+        position = {lab: i for i, lab in enumerate(register)}
         try:
-            idx = [register.index(lab) for lab in self.input_register]
-        except ValueError as exc:
-            raise ValueError(f"embedding register is missing a mode: {exc}") from exc
+            idx = [position[lab] for lab in self.input_register]
+        except KeyError as exc:
+            raise ValueError(f"embedding register is missing a mode: {exc.args[0]}") from None
         mat = np.eye(len(register), dtype=complex)
         mat[np.ix_(idx, idx)] = self.coefficients
         return LinearInOutMap(register, register, mat)
@@ -174,18 +175,17 @@ def compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearInOutMap:
     """
     produced = first.output_register
     consumed = second.input_register
-    missing = [lab for lab in consumed if lab not in produced]
-    if missing:
-        raise ValueError(f"register mismatch: {missing[0]} not produced by first map")
-    cols = [produced.index(lab) for lab in consumed]
-    aligned = np.zeros((len(second.output_register), len(produced)), dtype=complex)
-    aligned[:, cols] = second.coefficients
-    passthrough = [lab for lab in produced if lab not in consumed]
-    rows = np.zeros((len(passthrough), len(produced)), dtype=complex)
-    for i, lab in enumerate(passthrough):
-        rows[i, produced.index(lab)] = 1.0
-    full = np.vstack([aligned, rows]) if passthrough else aligned
-    out_register = second.output_register + tuple(passthrough)
+    position = {lab: i for i, lab in enumerate(produced)}
+    try:
+        cols = [position[lab] for lab in consumed]
+    except KeyError as exc:
+        raise ValueError(f"register mismatch: {exc.args[0]} not produced by first map") from None
+    kept = np.delete(np.arange(len(produced)), cols)
+    n_second = len(second.output_register)
+    full = np.zeros((n_second + len(kept), len(produced)), dtype=complex)
+    full[:n_second, cols] = second.coefficients
+    full[np.arange(n_second, len(full)), kept] = 1.0
+    out_register = second.output_register + tuple(produced[i] for i in kept)
     return LinearInOutMap(first.input_register, out_register, full @ first.coefficients)
 
 

@@ -106,9 +106,6 @@ class LegendreBasis:
         """Uniform z grid covering the cell, endpoints included."""
         return np.linspace(-self.length / 2, self.length / 2, n_points)
 
-    def q_matrix(self) -> np.ndarray:
-        return q_matrix(max(self.order_max, 1))
-
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
     """Quadrature weights of a uniform grid of n_points with spacing h.

@@ -16,6 +16,7 @@ codes: 0 success, 1 invalid parameters, 2 oracle tolerance breach.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -374,6 +375,7 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
     return 0 if report.passed else 2
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holomem",

@@ -76,7 +76,8 @@ class ProtocolConfig:
         """Resonant optical depth alpha_0 implied by kappa^2 = 2 alpha_0 eta."""
         if not 0 < emission_probability < 1:
             raise ValueError("spontaneous emission probability must lie in (0, 1)")
-        return self.kappa**2 / (2 * emission_probability)
+        # A float product overflows to inf; kappa**2 would raise OverflowError.
+        return (self.kappa * self.kappa) / (2 * emission_probability)
 
 
 def cycle_register(order_max: int) -> tuple[ModeLabel, ...]:
@@ -228,8 +229,3 @@ def extract_noise(cycle: LinearInOutMap) -> NoiseCoefficients:
             raise ValueError(f"unexpected noise contribution from {lab}: {coeff}")
     return NoiseCoefficients(x1=row[spin_x(1)], p0=row[spin_p(0)], p2=row[spin_p(2)])
 
-
-def signal_recovery_coefficient(config: ProtocolConfig) -> complex:
-    """Coefficient of the stored signal in the retrieved light."""
-    cycle = full_cycle(config)
-    return cycle.coefficient(light("R"), light("W"))

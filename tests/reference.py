@@ -3,12 +3,14 @@
 The package builds every multi-pass map by composing the single-pass
 primitive; the tests check those compositions against the closed-form
 coefficient polynomials below, which were derived by hand once and are
-never computed from the package's own composition machinery.
+never computed from the package's own composition machinery.  The
+straightforward label-scan composition the package once used is kept
+here too, as the reference its indexed composition must reproduce.
 """
 
 import numpy as np
 
-from holomem.algebra import ModeLabel, light, spin_p, spin_x
+from holomem.algebra import LinearInOutMap, ModeLabel, light, spin_p, spin_x
 
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
@@ -108,3 +110,26 @@ def row_as_vector(row: dict[ModeLabel, complex], register) -> np.ndarray:
     for lab, coeff in row.items():
         vec[register.index(lab)] = coeff
     return vec
+
+
+def tuple_scan_compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearInOutMap:
+    """`first`, then `second`, with every label looked up by scanning the registers.
+
+    Outputs of `first` that `second` does not consume pass through
+    unchanged, appended in their order in `first`'s output register.
+    """
+    produced = first.output_register
+    consumed = second.input_register
+    missing = [lab for lab in consumed if lab not in produced]
+    if missing:
+        raise ValueError(f"register mismatch: {missing[0]} not produced by first map")
+    cols = [produced.index(lab) for lab in consumed]
+    aligned = np.zeros((len(second.output_register), len(produced)), dtype=complex)
+    aligned[:, cols] = second.coefficients
+    passthrough = [lab for lab in produced if lab not in consumed]
+    rows = np.zeros((len(passthrough), len(produced)), dtype=complex)
+    for i, lab in enumerate(passthrough):
+        rows[i, produced.index(lab)] = 1.0
+    full = np.vstack([aligned, rows]) if passthrough else aligned
+    out_register = second.output_register + tuple(passthrough)
+    return LinearInOutMap(first.input_register, out_register, full @ first.coefficients)

@@ -55,6 +55,13 @@ def test_compose_rejects_register_mismatch():
         compose(m1, m2)
 
 
+def test_compose_mismatch_names_the_label():
+    m1 = identity_map(standard_register(2))
+    m2 = identity_map(standard_register(3))
+    with pytest.raises(ValueError, match="register mismatch: x3 not produced by first map"):
+        compose(m1, m2)
+
+
 def test_compose_pads_untouched_modes():
     reg = standard_register(2)
     sub = (light(),)
@@ -87,6 +94,13 @@ def test_embedded_endomap():
     lifted = inner.embedded(outer_reg)
     assert lifted.coefficient(light("R"), light("R")) == 1.0
     assert lifted.coefficient(light(), spin_p(0)) == pytest.approx(0.7)
+
+
+def test_embedded_rejects_a_register_missing_a_mode():
+    inner = single_pass(ProtocolConfig(kappa=0.7, order_max=2))
+    outer_reg = tuple(lab for lab in inner.input_register if lab != spin_p(2)) + (light("R"),)
+    with pytest.raises(ValueError, match="embedding register is missing a mode: p2"):
+        inner.embedded(outer_reg)
 
 
 def test_output_commutator_identity_light():

@@ -1,0 +1,56 @@
+"""The benchmark's restated closed forms against the frozen references.
+
+bench/workloads.py checks every data file the benchmark writes against
+closed forms it restates on its own (it imports nothing from holomem or
+the tests).  These tests load it by path and pin those restatements to
+tests/reference.py, so a drift in the benchmark's correctness gate fails
+here instead of passing wrong output.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from holomem.algebra import light
+
+import reference
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+KAPPAS = np.linspace(0.0, 1.5, 31)
+SQUEEZINGS = np.linspace(0.0, 1.0, 21)
+RTOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def rel_dev(value, expected):
+    return abs(value - expected) / max(1.0, abs(expected))
+
+
+def test_cycle_gain_and_noise_match_reference(workloads):
+    for kappa in KAPPAS:
+        row = reference.cycle_retrieved_light_row(kappa)
+        gain = row.pop(light("W"))
+        noise_var = 0.5 * sum(abs(c) ** 2 for c in row.values())
+        assert rel_dev(workloads.cycle_gain(kappa), gain) <= RTOL, kappa
+        assert rel_dev(workloads.cycle_noise_var(kappa), noise_var) <= RTOL, kappa
+
+
+def test_squeezed_average_fidelity_matches_reference(workloads):
+    for r in SQUEEZINGS:
+        expected = reference.squeezed_average_fidelity(r)
+        assert rel_dev(workloads.squeezed_average_fidelity(r), expected) <= RTOL, r

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holomem.cli import main
+from holomem.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -324,6 +324,33 @@ def test_identical_config_gives_identical_bytes(tmp_path, capsys):
         )
         assert code == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_repeated_calls_in_one_process_reuse_the_parser(tmp_path, capsys):
+    commands = {
+        "oracle.json": ["oracle-verify", "--grating-periods", "20", "--z-per-period", "20",
+                        "--tolerance", "0.05"],
+        "fidelity.csv": ["fidelity", "--pixels", "2000", "--squeeze-r", "0.4"],
+        "sweep.csv": ["sweep-kappa", "--kappa-points", "11"],
+    }
+
+    def run_all(round_):
+        for name, argv in commands.items():
+            code, _, _ = run(capsys, *argv, "--out", str(tmp_path / f"{round_}.{name}"))
+            assert code == 0
+
+    run_all("first")
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", "--pixels", "many"])
+    assert exc.value.code == 2
+    code, _, err = run(capsys, "fidelity", "--pixels", "0")
+    assert code == 1 and "pixels" in err
+    run_all("again")
+    assert build_parser() is build_parser()
+    for name in commands:
+        for suffix in ("", ".meta.json"):
+            first = (tmp_path / f"first.{name}{suffix}").read_bytes()
+            assert (tmp_path / f"again.{name}{suffix}").read_bytes() == first
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

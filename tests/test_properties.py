@@ -1,19 +1,26 @@
 """Property tests: physical invariants of the full cycle over random inputs.
 
-Hypothesis draws the coupling and the Legendre truncation; the draws are
-derandomized so the suite stays reproducible.
+Hypothesis draws the coupling and the Legendre truncation, and random
+register pairs for map composition; the draws are derandomized so the
+suite stays reproducible.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from holomem.algebra import (
+    LinearInOutMap,
+    ModeLabel,
+    compose,
     light,
     light_commutator_from_quadratures,
     realify,
     symplectic_form,
 )
 from holomem.protocol import ProtocolConfig, full_cycle
+
+import reference
 
 CYCLES = dict(
     kappa=st.floats(min_value=0.0, max_value=2.0),
@@ -39,3 +46,60 @@ def test_full_cycle_keeps_retrieved_light_commutator(kappa, order_max):
     s = realify(cycle.coefficients)
     comm = light_commutator_from_quadratures(s, cycle.input_register, light("R"))
     assert abs(comm - 1.0) <= 1e-10
+
+
+# Light of three stages and stage-tagged spin modes of low order.
+LABELS = tuple(light(stage) for stage in ("", "W", "R")) + tuple(
+    ModeLabel(kind, order, stage)
+    for kind in ("x", "p")
+    for order in range(4)
+    for stage in ("", "W")
+)
+
+
+def _random_map(rng, inputs, outputs):
+    shape = (len(outputs), len(inputs))
+    coefficients = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return LinearInOutMap(tuple(inputs), tuple(outputs), coefficients)
+
+
+@st.composite
+def map_pairs(draw):
+    """(first, second): second reads a permuted subset of first's outputs.
+
+    The rest of first's outputs pass through; in about half the draws
+    second also reads one mode that first does not produce.
+    """
+    registers = st.lists(st.sampled_from(LABELS), min_size=1, max_size=10, unique=True)
+    first_in, produced = draw(registers), draw(registers)
+    consumed = draw(st.permutations(produced))[: draw(st.integers(0, len(produced)))]
+    if draw(st.booleans()):
+        foreign = [lab for lab in LABELS if lab not in produced]
+        consumed.insert(draw(st.integers(0, len(consumed))), draw(st.sampled_from(foreign)))
+    passthrough = set(produced) - set(consumed)
+    second_out = draw(
+        st.lists(
+            st.sampled_from([lab for lab in LABELS if lab not in passthrough]),
+            max_size=8,
+            unique=True,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _random_map(rng, first_in, produced), _random_map(rng, consumed, second_out)
+
+
+@PROPERTY_SETTINGS
+@given(map_pairs())
+def test_compose_matches_tuple_scan_reference(maps):
+    first, second = maps
+    try:
+        expected = reference.tuple_scan_compose(first, second)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            compose(first, second)
+        assert str(raised.value) == str(exc)
+        return
+    composed = compose(first, second)
+    assert composed.input_register == expected.input_register
+    assert composed.output_register == expected.output_register
+    assert np.array_equal(composed.coefficients, expected.coefficients)

@@ -42,6 +42,11 @@ def test_resonant_depth_diagnostic():
         config.resonant_depth(0.0)
 
 
+def test_resonant_depth_overflows_to_inf():
+    # Squared as a float product: inf, where kappa**2 raised OverflowError.
+    assert ProtocolConfig(kappa=1e160).resonant_depth(0.1) == float("inf")
+
+
 def test_single_pass_at_zero_coupling_is_identity():
     m = single_pass(ProtocolConfig(kappa=0.0))
     assert_allclose(m.coefficients, np.eye(len(m.input_register)), atol=0)
