@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,20 +132,53 @@ def simpson_weights(n_points: int, h: float) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=32)
-def _projector(basis: LegendreBasis, n_points: int) -> np.ndarray:
-    """Read-only (order_max+1, n_points) matrix G^{-1} Theta W.
+class SampledBasis(NamedTuple):
+    """The basis sampled on one uniform grid covering the cell.
 
-    Theta holds the sampled theta_n, W the quadrature weights and
-    G = Theta W Theta^T the discrete Gram matrix, so the projector maps each
-    sampled theta_n to the unit vector e_n to rounding.
+    thetas[n] holds theta_n at the grid points, weights the quadrature
+    weights (see simpson_weights) and gram_inverse the inverse of the
+    discrete Gram matrix G = thetas W thetas^T.  All three are read-only.
+    """
+
+    thetas: np.ndarray
+    weights: np.ndarray
+    gram_inverse: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def sampled_basis(basis: LegendreBasis, n_points: int) -> SampledBasis:
+    """theta_0..theta_order_max on basis.grid(n_points), from one recurrence pass.
+
+    Every row is computed by the same arithmetic as theta(n, z), so the
+    table agrees with it to the last bit.
     """
     z = basis.grid(n_points)
-    thetas = np.array([basis.theta(n, z) for n in range(basis.order_max + 1)])
-    weighted = thetas * simpson_weights(n_points, z[1] - z[0])
-    projector = np.linalg.solve(weighted @ thetas.T, weighted)
-    projector.flags.writeable = False
-    return projector
+    u = 2 * z / basis.length
+    thetas = np.empty((basis.order_max + 1, n_points))
+    thetas[0] = 1.0
+    if basis.order_max >= 1:
+        thetas[1] = u
+    for k in range(1, basis.order_max):
+        thetas[k + 1] = ((2 * k + 1) * u * thetas[k] - k * thetas[k - 1]) / (k + 1)
+    thetas *= np.sqrt((2 * np.arange(basis.order_max + 1) + 1) / basis.length)[:, None]
+    weights = simpson_weights(n_points, z[1] - z[0])
+    gram_inverse = np.linalg.inv((thetas * weights) @ thetas.T)
+    for table in (thetas, weights, gram_inverse):
+        table.flags.writeable = False
+    return SampledBasis(thetas, weights, gram_inverse)
+
+
+def check_resolution(basis: LegendreBasis, n_points: int) -> None:
+    """Reject a z grid too coarse to resolve theta_order_max.
+
+    P_n has ~n/2 oscillations across the cell; demand 4 points for each.
+    """
+    min_points = 4 * max(1, basis.order_max)
+    if n_points < min_points:
+        raise ValueError(
+            f"z grid too coarse: {n_points} points, need >= {min_points} "
+            f"to resolve theta_{basis.order_max}"
+        )
 
 
 def project_onto_basis(samples, basis: LegendreBasis) -> np.ndarray:
@@ -165,16 +199,13 @@ def project_onto_basis(samples, basis: LegendreBasis) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValueError("samples must be a 1-D array over the z grid")
-    # P_n has ~n/2 oscillations across the cell; demand 4 points for each.
-    min_points = 4 * max(1, basis.order_max)
-    if samples.size < min_points:
-        raise ValueError(
-            f"z grid too coarse: {samples.size} points, need >= {min_points} "
-            f"to resolve theta_{basis.order_max}"
-        )
-    projector = _projector(basis, samples.size)
-    if np.iscomplexobj(samples):
-        # Two real products: projector @ samples would cast the projector to
+    check_resolution(basis, samples.size)
+    thetas, weights, gram_inverse = sampled_basis(basis, samples.size)
+    weighted = weights * samples
+    if np.iscomplexobj(weighted):
+        # Two real products: thetas @ weighted would cast the table to
         # complex on every call.
-        return projector @ samples.real + 1j * (projector @ samples.imag)
-    return projector @ samples
+        sums = thetas @ weighted.real + 1j * (thetas @ weighted.imag)
+    else:
+        sums = thetas @ weighted
+    return gram_inverse @ sums

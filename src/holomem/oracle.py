@@ -42,11 +42,14 @@ from .algebra import (
     realify,
     standard_register,
 )
-from .basis import LegendreBasis, project_onto_basis
+from .basis import LegendreBasis, check_resolution, sampled_basis
 from .protocol import cycle_register, interpass_transform
 
 MIN_POINTS_PER_PERIOD = 20
 DEFAULT_POINTS_PER_PERIOD = 40
+# z points per chunk of the pass-map sums: the sweep's transient memory is
+# O(order_max * _Z_CHUNK), however fine the grid.
+_Z_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,7 @@ class OracleGrid:
     effective grating phase (the oracle is one-dimensional per transverse
     mode).  z_points = None picks the default resolution of
     40 points per grating period.  Time needs no grid: the pass is exact
-    in time (see _PassIntegrator.pass_map).  Cell length and pulse duration
+    in time (see _pass_map).  Cell length and pulse duration
     are free scales.
     """
 
@@ -132,82 +135,135 @@ def _carrier_segment_weights(phi: float) -> tuple[complex, complex]:
     return complex(w0), complex(w1)
 
 
-class _PassIntegrator:
-    """Precomputed workspace for repeated single-pass integrations."""
+def _z_sums(thetas: np.ndarray, weights: np.ndarray, z: np.ndarray, dk: float):
+    """The sums over z behind every block of the pass map, chunk by chunk.
 
-    def __init__(self, grid: OracleGrid):
-        self.grid = grid
-        self.basis = LegendreBasis(length=grid.length, order_max=grid.order_max)
-        self.z = self.basis.grid(grid.z_points)
-        self.h = self.z[1] - self.z[0]
-        dk = grid.delta_k
-        self.carrier_pos = np.exp(1j * dk * self.z)  # e^{+i Delta_k z}
-        self.carrier_neg = np.conj(self.carrier_pos)
-        self.thetas = np.array(
-            [self.basis.theta(n, self.z) for n in range(grid.order_max + 1)]
-        )
-        # Filon weights for the source integral against e^{-i Delta_k z}:
-        # the segment factor e^{-i Delta_k z_j} is the sampled negative carrier.
-        self._w0, self._w1 = _carrier_segment_weights(-dk * self.h)
+    With x = (w, w cos, w sin)(2 dk z) and y = (1, cos, sin)(2 dk z):
+    theta_sums[(x, m), k] = sum_z x theta_m theta_k, prefix_sums[(x, m), (y, k)]
+    = sum_z x theta_m S_yk with S_yk the exclusive prefix sum of y theta_k,
+    and last_prefix[y, k] = S_yk at the last grid point.
+    """
+    n_spin = thetas.shape[0]
+    # The running totals of the prefix sums carry over to the next chunk.
+    left = np.empty((3, n_spin, _Z_CHUNK))
+    prefix = np.empty((3, n_spin, _Z_CHUNK))
+    carry = np.zeros((3, n_spin))
+    theta_sums = np.zeros((3 * n_spin, n_spin))
+    prefix_sums = np.zeros((3 * n_spin, 3 * n_spin))
+    for start in range(0, z.size, _Z_CHUNK):
+        stop = min(start + _Z_CHUNK, z.size)
+        chunk = thetas[:, start:stop]
+        phase = 2 * dk * z[start:stop]
+        cos, sin = np.cos(phase), np.sin(phase)
+        lhs, rhs = left[..., : stop - start], prefix[..., : stop - start]
+        np.multiply(chunk, weights[start:stop], out=lhs[0])
+        np.multiply(lhs[0], cos, out=lhs[1])
+        np.multiply(lhs[0], sin, out=lhs[2])
+        rhs[:, :, 0] = carry
+        rhs[0, :, 1:] = chunk[:, :-1]
+        np.multiply(chunk[:, :-1], cos[:-1], out=rhs[1, :, 1:])
+        np.multiply(chunk[:, :-1], sin[:-1], out=rhs[2, :, 1:])
+        np.cumsum(rhs, axis=2, out=rhs)
+        carry = rhs[:, :, -1] + chunk[:, -1] * np.array([[1.0], [cos[-1]], [sin[-1]]])
+        lhs = lhs.reshape(3 * n_spin, -1)
+        theta_sums += lhs @ chunk.T
+        prefix_sums += lhs @ rhs.reshape(3 * n_spin, -1).T
+    return theta_sums, prefix_sums, rhs[:, :, -1].copy()
 
-    def _cumulative_source_integral(self, p_field: np.ndarray) -> np.ndarray:
-        """F[j] = int_{-L/2}^{z_j} P(z') e^{-i Delta_k z'} dz', piecewise-linear P."""
-        seg = self.h * self.carrier_neg[:-1] * (self._w0 * p_field[:-1] + self._w1 * p_field[1:])
-        return np.concatenate([[0.0], np.cumsum(seg)])
 
-    def pass_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """One pass as out = linear @ u + conjugate @ conj(u) over the register.
+def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
+    """One pass as out = linear @ u + conjugate @ conj(u) over the register.
 
-        Spin amplitudes v seed Hermitian (pixel-level) fields
-        2 theta_n(z) Re[v e^{i Delta_k z}]; the light amplitude is the
-        pulse-averaged convention, so the instantaneous boundary value is
-        v/sqrt(T).  P never evolves, so one z sweep gives the field a(z)
-        for the whole pulse; X then grows by T times its constant rate
-        2 coupling Im[a(z) e^{+i Delta_k z}], and the pulse-averaged output
-        is a(L/2) sqrt(T).  Both are exact in time.
+    Spin amplitudes v seed Hermitian (pixel-level) fields
+    2 theta_n(z) Re[v e^{i Delta_k z}]; the light amplitude is the
+    pulse-averaged convention, so the instantaneous boundary value is
+    v/sqrt(T).  P never evolves, so one z sweep gives the field a(z) for
+    the whole pulse; X then grows by T times its constant rate
+    2 coupling Im[a(z) e^{+i Delta_k z}], and the pulse-averaged output is
+    a(L/2) sqrt(T).  Both are exact in time.
 
-        Every step is R-linear, so each field is carried as its pair of
-        responses to u and conj(u): Re w = (w + conj w)/2 and
-        Im w = (w - conj w)/(2i) swap and conjugate the pair, while the
-        carrier products, the source integral and the projection act on
-        each part alone.  With c = e^{-i Delta_k z}, a seed v theta gives
-        X or P the parts (theta/c, theta c), read out as Proj(theta) and
-        Proj(theta c^2); p_k drives a(z) = alpha u + beta conj(u) with
-        alpha, beta the source integrals of theta_k/c and theta_k c.
-        """
-        grid = self.grid
-        n_spin = grid.order_max + 1
-        dim = 1 + 2 * n_spin
-        coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
-        sqrt_t = np.sqrt(grid.duration)
-        x_rows, p_rows = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
-        counter = self.carrier_neg**2  # counter-rotating factor of a readout
-        project = lambda field: project_onto_basis(field, self.basis)
-        x_gain = -1j * grid.duration * coupling  # X gains x_gain (a/c - conj(a) c)
-        linear = np.zeros((dim, dim), dtype=complex)
-        conjugate = np.zeros((dim, dim), dtype=complex)
+    Every step is R-linear, so each field is carried as its pair of
+    responses to u and conj(u): Re w = (w + conj w)/2 and
+    Im w = (w - conj w)/(2i) swap and conjugate the pair, while the carrier
+    products, the source integral and the projection act on each part
+    alone.  With c = e^{-i Delta_k z}, a seed v theta gives X or P the
+    parts (theta/c, theta c), read out as Proj(theta) and Proj(theta c^2);
+    p_k drives a(z) = alpha_k u + beta_k conj(u), with alpha_k, beta_k the
+    source integrals of theta_k/c and theta_k c.
 
-        # Light: a(z) = a_in / sqrt(T) along the whole cell.
-        linear[0, 0] = 1.0
-        linear[x_rows, 0] = -1j * coupling * sqrt_t * project(np.ones(self.z.size))
-        conjugate[x_rows, 0] = 1j * coupling * sqrt_t * project(counter)
+    The Filon rule for the source integral of f c, with f = theta_k or
+    f = theta_k c^2 and S_j = f_0 + ... + f_{j-1}, telescopes to
+    h [(W0 + W1 e^{i Delta_k h}) S_j + W1 e^{i Delta_k h} (f_j - f_0)].
+    Every readout Proj(g) = G^{-1} sum_z w theta g is then linear in the
+    sums over z of theta_m (1, cos, sin)(2 Delta_k z) times theta_k and the
+    prefix sums of theta_k (1, cos, sin)(2 Delta_k z): one pair of real
+    matrix products per chunk of z gives all spin orders at once.
+    """
+    basis = LegendreBasis(length=grid.length, order_max=grid.order_max)
+    check_resolution(basis, grid.z_points)
+    thetas, weights, gram_inverse = sampled_basis(basis, grid.z_points)
+    z = basis.grid(grid.z_points)
+    h = z[1] - z[0]
+    dk = grid.delta_k
+    n_spin = grid.order_max + 1
 
-        # One spin order at a time: stacking them all as (n_spin, z) arrays
-        # costs more peak memory than it saves time.
-        for k, theta in enumerate(self.thetas):
-            x_col, p_col = 1 + k, 1 + n_spin + k
-            seed_linear = project(theta)
-            seed_conjugate = project(theta * counter)
-            linear[x_rows, x_col] = linear[p_rows, p_col] = seed_linear
-            conjugate[x_rows, x_col] = conjugate[p_rows, p_col] = seed_conjugate
+    theta_sums, prefix_sums, last_prefix = _z_sums(thetas, weights, z, dk)
+    gram, gram_cos, gram_sin = theta_sums.reshape(3, n_spin, n_spin)
+    # blocks[x][y][m, k] = sum_z (w, w cos, w sin)[x] theta_m (S, Tcos, Tsin)[y]_k
+    blocks = prefix_sums.reshape(3, n_spin, 3, n_spin).transpose(0, 2, 1, 3)
+    # theta_0 is the constant 1/sqrt(L), so sum_z x theta_m = sqrt(L) sum_z x theta_m theta_0.
+    ones, ones_cos, ones_sin = np.sqrt(grid.length) * theta_sums[:, 0].reshape(3, n_spin)
+    counter_ones = ones_cos - 1j * ones_sin  # sum_z w theta_m c^2
+    counter_gram = gram_cos - 1j * gram_sin  # sum_z w theta_m theta_k c^2
+    first, end = thetas[:, 0], thetas[:, -1]
+    counter_first, counter_end = np.exp(-2j * dk * z[0]), np.exp(-2j * dk * z[-1])
 
-            alpha = coupling * self._cumulative_source_integral(theta * self.carrier_pos)
-            beta = coupling * self._cumulative_source_integral(theta * self.carrier_neg)
-            linear[0, p_col] = alpha[-1] * sqrt_t
-            conjugate[0, p_col] = beta[-1] * sqrt_t
-            linear[x_rows, p_col] = x_gain * project(alpha - np.conj(beta) * counter)
-            conjugate[x_rows, p_col] = x_gain * project(beta - np.conj(alpha) * counter)
-        return linear, conjugate
+    w0, w1 = _carrier_segment_weights(-dk * h)
+    step = w1 * np.exp(1j * dk * h)
+    prefix_weight = w0 + step
+    coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
+    scale = coupling * h
+    # Source integrals at L/2, and sum_z w theta_m g for g = alpha_k, beta_k,
+    # conj(beta_k) c^2 and conj(alpha_k) c^2 (G^{-1} of these is the readout).
+    alpha_end = scale * (prefix_weight * last_prefix[0] + step * (end - first))
+    beta_end = scale * (
+        prefix_weight * (last_prefix[1] - 1j * last_prefix[2])
+        + step * (end * counter_end - first * counter_first)
+    )
+    alpha = scale * (prefix_weight * blocks[0, 0] + step * (gram - np.outer(ones, first)))
+    beta = scale * (
+        prefix_weight * (blocks[0, 1] - 1j * blocks[0, 2])
+        + step * (counter_gram - counter_first * np.outer(ones, first))
+    )
+    beta_counter = scale * (
+        np.conj(prefix_weight)
+        * (blocks[1, 1] + blocks[2, 2] + 1j * (blocks[1, 2] - blocks[2, 1]))
+        + np.conj(step) * (gram - np.conj(counter_first) * np.outer(counter_ones, first))
+    )
+    alpha_counter = scale * (
+        np.conj(prefix_weight) * (blocks[1, 0] - 1j * blocks[2, 0])
+        + np.conj(step) * (counter_gram - np.outer(counter_ones, first))
+    )
+
+    dim = 1 + 2 * n_spin
+    sqrt_t = np.sqrt(grid.duration)
+    x_gain = -1j * grid.duration * coupling  # X gains x_gain (a/c - conj(a) c)
+    x_rows = slice(1, 1 + n_spin)
+    x_cols, p_cols = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
+    linear = np.zeros((dim, dim), dtype=complex)
+    conjugate = np.zeros((dim, dim), dtype=complex)
+    # Light: a(z) = a_in / sqrt(T) along the whole cell.
+    linear[0, 0] = 1.0
+    linear[x_rows, 0] = -1j * coupling * sqrt_t * (gram_inverse @ ones)
+    conjugate[x_rows, 0] = 1j * coupling * sqrt_t * (gram_inverse @ counter_ones)
+    # Seeds read back through the grating; P is never updated.
+    linear[x_rows, x_cols] = linear[p_cols, p_cols] = gram_inverse @ gram
+    conjugate[x_rows, x_cols] = conjugate[p_cols, p_cols] = gram_inverse @ counter_gram
+    linear[0, p_cols] = alpha_end * sqrt_t
+    conjugate[0, p_cols] = beta_end * sqrt_t
+    linear[x_rows, p_cols] = x_gain * (gram_inverse @ (alpha - beta_counter))
+    conjugate[x_rows, p_cols] = x_gain * (gram_inverse @ (beta - alpha_counter))
+    return linear, conjugate
 
 
 def integrate_single_pass(
@@ -228,7 +284,7 @@ def integrate_single_pass(
         amps = np.asarray(initial, dtype=complex)
         if amps.shape != (len(register),):
             raise ValueError(f"expected {len(register)} amplitudes, got shape {amps.shape}")
-    linear, conjugate = _PassIntegrator(grid).pass_map()
+    linear, conjugate = _pass_map(grid)
     return linear @ amps + conjugate @ np.conj(amps)
 
 
@@ -273,13 +329,13 @@ def extract_map(grid: OracleGrid, refinement_levels: int = 0) -> OracleResult:
     finer grids to measure convergence; the reported coefficients are those
     of the requested grid.
     """
-    linear, conjugate = _PassIntegrator(grid).pass_map()
+    linear, conjugate = _pass_map(grid)
     ratios: list[float] = []
     order = None
     tolerance = None
     prev_linear, prev_conjugate = linear, conjugate
     for level in range(1, refinement_levels + 1):
-        fine_linear, fine_conjugate = _PassIntegrator(grid.refined(2**level)).pass_map()
+        fine_linear, fine_conjugate = _pass_map(grid.refined(2**level))
         change = max(
             float(np.max(np.abs(fine_linear - prev_linear))),
             float(np.max(np.abs(fine_conjugate - prev_conjugate))),

@@ -5,12 +5,17 @@ primitive; the tests check those compositions against the closed-form
 coefficient polynomials below, which were derived by hand once and are
 never computed from the package's own composition machinery.  The
 straightforward label-scan composition the package once used is kept
-here too, as the reference its indexed composition must reproduce.
+here too, as the reference its indexed composition must reproduce, and
+so is the oracle's pass map as it was first computed: one spin order at a
+time, with a Filon cumulative sum per source integral and a projector
+solved against every grid point.
 """
 
 import numpy as np
 
 from holomem.algebra import LinearInOutMap, ModeLabel, light, spin_p, spin_x
+from holomem.basis import LegendreBasis, simpson_weights
+from holomem.oracle import _carrier_segment_weights
 
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
@@ -133,3 +138,67 @@ def tuple_scan_compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearI
     full = np.vstack([aligned, rows]) if passthrough else aligned
     out_register = second.output_register + tuple(passthrough)
     return LinearInOutMap(first.input_register, out_register, full @ first.coefficients)
+
+
+class PerOrderPass:
+    """One oracle pass swept one spin order at a time.
+
+    Samples theta_n order by order with LegendreBasis.theta, projects with
+    the (order_max+1, z) matrix G^{-1} Theta W, and integrates each source
+    term by a Filon cumulative sum; the package computes the same map from
+    chunked matrix products over all orders at once.
+    """
+
+    def __init__(self, grid):
+        self.grid = grid
+        basis = LegendreBasis(length=grid.length, order_max=grid.order_max)
+        self.z = basis.grid(grid.z_points)
+        self.h = self.z[1] - self.z[0]
+        dk = grid.delta_k
+        self.carrier_pos = np.exp(1j * dk * self.z)  # e^{+i Delta_k z}
+        self.carrier_neg = np.conj(self.carrier_pos)
+        self.thetas = np.array([basis.theta(n, self.z) for n in range(grid.order_max + 1)])
+        weighted = self.thetas * simpson_weights(self.z.size, self.h)
+        self.projector = np.linalg.solve(weighted @ self.thetas.T, weighted)
+        # Filon weights for the source integral against e^{-i Delta_k z}:
+        # the segment factor e^{-i Delta_k z_j} is the sampled negative carrier.
+        self._w0, self._w1 = _carrier_segment_weights(-dk * self.h)
+
+    def project(self, field: np.ndarray) -> np.ndarray:
+        return self.projector @ field.real + 1j * (self.projector @ field.imag)
+
+    def cumulative_source_integral(self, p_field: np.ndarray) -> np.ndarray:
+        """F[j] = int_{-L/2}^{z_j} P(z') e^{-i Delta_k z'} dz', piecewise-linear P."""
+        seg = self.h * self.carrier_neg[:-1] * (self._w0 * p_field[:-1] + self._w1 * p_field[1:])
+        return np.concatenate([[0.0], np.cumsum(seg)])
+
+    def pass_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(linear, conjugate) with out = linear @ u + conjugate @ conj(u)."""
+        grid = self.grid
+        n_spin = grid.order_max + 1
+        dim = 1 + 2 * n_spin
+        coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
+        sqrt_t = np.sqrt(grid.duration)
+        x_rows, p_rows = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
+        counter = self.carrier_neg**2
+        x_gain = -1j * grid.duration * coupling
+        linear = np.zeros((dim, dim), dtype=complex)
+        conjugate = np.zeros((dim, dim), dtype=complex)
+
+        linear[0, 0] = 1.0
+        linear[x_rows, 0] = -1j * coupling * sqrt_t * self.project(np.ones(self.z.size))
+        conjugate[x_rows, 0] = 1j * coupling * sqrt_t * self.project(counter)
+        for k, theta in enumerate(self.thetas):
+            x_col, p_col = 1 + k, 1 + n_spin + k
+            seed_linear = self.project(theta)
+            seed_conjugate = self.project(theta * counter)
+            linear[x_rows, x_col] = linear[p_rows, p_col] = seed_linear
+            conjugate[x_rows, x_col] = conjugate[p_rows, p_col] = seed_conjugate
+
+            alpha = coupling * self.cumulative_source_integral(theta * self.carrier_pos)
+            beta = coupling * self.cumulative_source_integral(theta * self.carrier_neg)
+            linear[0, p_col] = alpha[-1] * sqrt_t
+            conjugate[0, p_col] = beta[-1] * sqrt_t
+            linear[x_rows, p_col] = x_gain * self.project(alpha - np.conj(beta) * counter)
+            conjugate[x_rows, p_col] = x_gain * self.project(beta - np.conj(alpha) * counter)
+        return linear, conjugate

@@ -11,6 +11,7 @@ from holomem.basis import (
     legendre_poly,
     project_onto_basis,
     q_matrix,
+    sampled_basis,
     simpson_weights,
     theta,
 )
@@ -155,3 +156,36 @@ def test_projection_rejects_coarse_grid():
     basis = LegendreBasis(order_max=4)
     with pytest.raises(ValueError, match="coarse"):
         project_onto_basis(np.ones(8), basis)
+
+
+@pytest.mark.parametrize("length", [1.0, 2.5])
+def test_sampled_table_matches_theta_up_to_order_60(length):
+    basis = LegendreBasis(length=length, order_max=60)
+    z = basis.grid(3001)
+    table = sampled_basis(basis, z.size).thetas
+    assert table.shape == (61, 3001)
+    for n in range(61):
+        assert_allclose(table[n], theta(n, z, length), rtol=1e-12, atol=0)
+    # endpoints: P_n(+-1) = (+-1)^n
+    norms = np.sqrt((2 * np.arange(61) + 1) / length)
+    assert_allclose(table[:, -1], norms, rtol=1e-12)
+    assert_allclose(table[:, 0], norms * (-1.0) ** np.arange(61), rtol=1e-12)
+
+
+def test_sampled_basis_is_read_only():
+    sampled = sampled_basis(LegendreBasis(order_max=4), 101)
+    for table in sampled:
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
+@pytest.mark.parametrize("order_max", [0, 1])
+def test_sampled_basis_at_lowest_orders(order_max):
+    basis = LegendreBasis(order_max=order_max)
+    z = basis.grid(5)
+    thetas, weights, gram_inverse = sampled_basis(basis, 5)
+    assert thetas.shape == (order_max + 1, 5)
+    assert gram_inverse.shape == (order_max + 1, order_max + 1)
+    for n in range(order_max + 1):
+        assert_allclose(thetas[n], theta(n, z), rtol=1e-12)
+    assert_allclose(weights, simpson_weights(5, z[1] - z[0]), rtol=0)

@@ -1,10 +1,12 @@
-"""The benchmark's restated closed forms against the frozen references.
+"""The benchmark's restated closed forms and traced names, checked from here.
 
 bench/workloads.py checks every data file the benchmark writes against
 closed forms it restates on its own (it imports nothing from holomem or
 the tests).  These tests load it by path and pin those restatements to
 tests/reference.py, so a drift in the benchmark's correctness gate fails
-here instead of passing wrong output.
+here instead of passing wrong output.  bench/spans.py skips any traced
+name it cannot find in the package, so a renamed callable would silently
+drop its per-layer span; a test here checks that every name resolves.
 """
 
 import importlib.util
@@ -18,15 +20,14 @@ from holomem.algebra import light
 
 import reference
 
-WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 KAPPAS = np.linspace(0.0, 1.5, 31)
 SQUEEZINGS = np.linspace(0.0, 1.0, 21)
 RTOL = 1e-12
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PATH)
+def load_by_path(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     # Its dataclasses resolve their annotations through sys.modules.
     sys.modules[spec.name] = module
@@ -35,6 +36,16 @@ def workloads():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    yield from load_by_path("workloads")
+
+
+@pytest.fixture(scope="module")
+def spans():
+    yield from load_by_path("spans")
 
 
 def rel_dev(value, expected):
@@ -54,3 +65,14 @@ def test_squeezed_average_fidelity_matches_reference(workloads):
     for r in SQUEEZINGS:
         expected = reference.squeezed_average_fidelity(r)
         assert rel_dev(workloads.squeezed_average_fidelity(r), expected) <= RTOL, r
+
+
+def test_every_traced_name_resolves(spans):
+    for layer, attrs in spans.TRACED.items():
+        module = importlib.import_module(f"holomem.{layer}")
+        for attr in attrs:
+            owner_name, _, name = attr.rpartition(".")
+            owner = getattr(module, owner_name, None) if owner_name else module
+            # spans.py patches methods through the class __dict__
+            found = getattr(owner, "__dict__", {}).get(name)
+            assert callable(found), f"bench/spans.py traces holomem.{layer}.{attr}, which is missing"

@@ -9,14 +9,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from holomem.algebra import light, spin_p, spin_x
-from holomem.basis import project_onto_basis
 from holomem.oracle import (
+    _Z_CHUNK,
     OracleGrid,
     OracleResult,
-    _PassIntegrator,
     compare,
     extract_map,
     integrate_single_pass,
@@ -24,6 +24,8 @@ from holomem.oracle import (
     numerical_stage_map,
 )
 from holomem.protocol import ProtocolConfig, double_pass_write, full_cycle, single_pass
+
+import reference
 
 SMALL = dict(grating_phase=20 * np.pi, kappa=1.0, order_max=4)
 
@@ -224,7 +226,7 @@ def euler_time_loop(grid, amplitudes, t_points=100):
     This is the time loop the oracle ran before it integrated the pass
     exactly in time; it is kept here as the reference for that shortcut.
     """
-    integ = _PassIntegrator(grid)
+    integ = reference.PerOrderPass(grid)
     n_spin = grid.order_max + 1
     coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
     dt = grid.duration / t_points
@@ -235,11 +237,11 @@ def euler_time_loop(grid, amplitudes, t_points=100):
     a_boundary = amplitudes[0] / np.sqrt(grid.duration)
     a_time_sum = 0.0 + 0.0j
     for _ in range(t_points):
-        a_of_z = a_boundary + coupling * integ._cumulative_source_integral(p_field)
+        a_of_z = a_boundary + coupling * integ.cumulative_source_integral(p_field)
         x_field = x_field + dt * 2 * coupling * np.imag(a_of_z * integ.carrier_pos)
         a_time_sum += a_of_z[-1] * dt
-    x_out = project_onto_basis(x_field * integ.carrier_neg, integ.basis)
-    p_out = project_onto_basis(p_field * integ.carrier_neg, integ.basis)
+    x_out = integ.project(x_field * integ.carrier_neg)
+    p_out = integ.project(p_field * integ.carrier_neg)
     return np.concatenate([[a_time_sum / np.sqrt(grid.duration)], x_out, p_out])
 
 
@@ -270,10 +272,45 @@ def test_extracted_map_matches_probes_of_euler_time_loop(scales):
     assert_allclose(result.conjugate, conjugate, atol=1e-12)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    order_max=st.sampled_from([0, 1, 4, 20]),
+    # below one chunk, exactly one, one point past it, and not a multiple
+    z_points=st.sampled_from([_Z_CHUNK // 2 + 1, _Z_CHUNK, _Z_CHUNK + 1, 2 * _Z_CHUNK + 345]),
+    points_per_period=st.floats(min_value=20.0, max_value=60.0),
+    transverse_phase_shift=st.floats(min_value=0.0, max_value=5 * np.pi),
+    kappa=st.floats(min_value=0.0, max_value=2.0),
+    length=st.floats(min_value=0.3, max_value=3.0),
+    duration=st.floats(min_value=0.3, max_value=3.0),
+)
+def test_pass_map_matches_per_order_reference(
+    order_max, z_points, points_per_period, transverse_phase_shift, kappa, length, duration
+):
+    effective_phase = 2 * np.pi * (z_points - 1) / points_per_period
+    grid = OracleGrid(
+        grating_phase=effective_phase + transverse_phase_shift,
+        transverse_phase_shift=transverse_phase_shift,
+        kappa=kappa,
+        order_max=order_max,
+        z_points=z_points,
+        length=length,
+        duration=duration,
+    )
+    linear, conjugate = reference.PerOrderPass(grid).pass_map()
+    result = extract_map(grid)
+    assert_allclose(result.linear, linear, rtol=0, atol=1e-12)
+    assert_allclose(result.conjugate, conjugate, rtol=0, atol=1e-12)
+
+
+def test_oracle_rejects_grid_too_coarse_for_order():
+    # 20 points per period over 2 periods cannot resolve theta_60
+    with pytest.raises(ValueError, match="z grid too coarse: 81 points"):
+        extract_map(OracleGrid(grating_phase=4 * np.pi, order_max=60, z_points=81))
+
+
 def test_extract_map_peak_memory():
-    # Memory guard independent of timing: spin orders are swept one at a
-    # time; stacking all of them as (order_max + 1, z) arrays about doubles
-    # the traced peak.
+    # Memory guard independent of timing: z is swept in fixed chunks;
+    # stacking whole (order_max + 1, z) arrays raises the traced peak.
     grid = OracleGrid(grating_phase=200 * np.pi)
     extract_map(grid, refinement_levels=1)  # fill the projector cache
     tracemalloc.start()
@@ -283,3 +320,18 @@ def test_extract_map_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 2.1e6
+
+
+def test_extract_map_peak_memory_at_order_60():
+    # The sweep streams z in fixed chunks, so after the warm-up has built
+    # both grids' tables its transient memory is O(order_max * chunk):
+    # below half of one fine-grid (61, 24001) table.
+    grid = OracleGrid(grating_phase=600 * np.pi, order_max=60)
+    extract_map(grid, refinement_levels=1)
+    tracemalloc.start()
+    try:
+        extract_map(grid, refinement_levels=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
