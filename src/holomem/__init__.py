@@ -9,14 +9,12 @@ light-spin equations with the grating carrier resolved.
 """
 
 from .algebra import (
-    CommutatorTable,
     CovarianceSpec,
     LinearInOutMap,
     ModeLabel,
     compose,
     identity_map,
     light,
-    output_commutator,
     propagate_covariance,
     spin_p,
     spin_x,
@@ -59,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CLASSICAL_BENCHMARK",
     "CLONING_BENCHMARK",
-    "CommutatorTable",
     "CovarianceSpec",
     "FidelityReport",
     "LegendreBasis",
@@ -87,7 +84,6 @@ __all__ = [
     "noise_covariance",
     "numerical_full_cycle",
     "numerical_stage_map",
-    "output_commutator",
     "project_onto_basis",
     "propagate_covariance",
     "q_matrix",

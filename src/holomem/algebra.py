@@ -190,55 +190,6 @@ def compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearInOutMap:
 
 
 # ---------------------------------------------------------------------------
-# Commutators
-# ---------------------------------------------------------------------------
-
-
-class CommutatorTable:
-    """Canonical same-time pairing [m, m'^dag] between register modes.
-
-    Light with itself gives 1; a spin x_n with the p_n of equal order (and
-    stage) gives +/- i; all other pairs commute.  The convention follows the
-    pixel-level picture in which the real and imaginary parts of each
-    non-Hermitian amplitude are independent Hermitian quadratures and the
-    conjugate pairs are (x_n)_r with (p_n)_r and (x_n)_i with (p_n)_i.
-    """
-
-    def pairing(self, first: ModeLabel, second: ModeLabel) -> complex:
-        """[first, second^dag] as a c-number."""
-        if first.kind == "a" and first == second:
-            return 1.0 + 0.0j
-        if first.order == second.order and first.stage == second.stage:
-            if first.kind == "x" and second.kind == "p":
-                return 1.0j
-            if first.kind == "p" and second.kind == "x":
-                return -1.0j
-        return 0.0 + 0.0j
-
-    def matrix(self, register: Sequence[ModeLabel]) -> np.ndarray:
-        register = tuple(register)
-        k = np.zeros((len(register), len(register)), dtype=complex)
-        for i, a in enumerate(register):
-            for j, b in enumerate(register):
-                k[i, j] = self.pairing(a, b)
-        return k
-
-
-def output_commutator(
-    inout_map: LinearInOutMap, table: CommutatorTable, out_label: ModeLabel
-) -> complex:
-    """[O, O^dag] of one output mode, from input commutators and the map.
-
-    For O = sum_k c_k m_k this is sum_{k,l} c_k conj(c_l) [m_k, m_l^dag].
-    An analytic protocol map that preserves the canonical structure returns
-    exactly 1 for the retrieved light mode.
-    """
-    c = inout_map.coefficients[inout_map.out_index(out_label)]
-    k = table.matrix(inout_map.input_register)
-    return complex(c @ k @ np.conj(c))
-
-
-# ---------------------------------------------------------------------------
 # Real-quadrature (pixel level) picture
 # ---------------------------------------------------------------------------
 
@@ -301,18 +252,16 @@ def symplectic_form(register: Sequence[ModeLabel]) -> np.ndarray:
     return omega
 
 
-def quadrature_commutators(s: np.ndarray, register: Sequence[ModeLabel]) -> np.ndarray:
-    """[u'_a, u'_b] / i for output quadratures u' = S u; equals Omega if preserved."""
-    omega = symplectic_form(register)
-    return s @ omega @ s.T
-
-
 def light_commutator_from_quadratures(
     s: np.ndarray, register: Sequence[ModeLabel], out_label: ModeLabel
 ) -> float:
-    """[a_out, a_out^dag] of a real-quadrature map, via the symplectic form."""
+    """[a_out, a_out^dag] of a real-quadrature map u' = S u.
+
+    This is the (re, im) entry of S Omega S^T, the output commutators
+    [u'_a, u'_b] / i, which equal Omega when the map preserves them.
+    """
     register = tuple(register)
-    comm = quadrature_commutators(s, register)
+    comm = s @ symplectic_form(register) @ s.T
     i = 2 * register.index(out_label)
     return float(comm[i, i + 1])
 
@@ -358,7 +307,7 @@ class CovarianceSpec:
             partner = lab.conjugate_partner()
             if partner is None:
                 continue
-            pr, pi = self.variance_pair(partner, required=False)
+            pr, pi = self.variance_pair(partner)
             for v, pv in ((vr, pr), (vi, pi)):
                 if pv is None or v == 0 or pv == 0:
                     continue
@@ -392,13 +341,12 @@ class CovarianceSpec:
                 variances[partner] = (anti, anti)
         return cls(variances=variances)
 
-    def variance_pair(self, label: ModeLabel, required: bool = True):
+    def variance_pair(self, label: ModeLabel):
+        """(re, im) variances of a mode; (None, None) if unassigned and no default."""
         if label in self.variances:
             return self.variances[label]
         if self.default is not None:
             return (self.default, self.default)
-        if required:
-            raise ValueError(f"no variance assigned to input mode {label}")
         return (None, None)
 
 
@@ -424,7 +372,9 @@ def propagate_covariance(
     The complex map is lifted to the real-quadrature picture and the input
     covariance (diagonal, one variance per quadrature) is transported as
     S Sigma S^T.  Only the rows/columns of the requested output labels are
-    returned (both quadratures of each).
+    returned (both quadratures of each).  An infinite input variance makes
+    infinite every entry its quadrature reaches; a zero coefficient
+    contributes nothing, even against an infinite variance.
     """
     if outputs is None:
         outputs = inout_map.output_register
@@ -441,9 +391,15 @@ def propagate_covariance(
                 raise ValueError(f"no variance assigned to input mode {lab}")
     diag = np.empty(2 * len(inout_map.input_register))
     for j, lab in enumerate(inout_map.input_register):
-        vr, vi = spec.variance_pair(lab, required=False)
+        vr, vi = spec.variance_pair(lab)
         diag[2 * j] = vr if vr is not None else 0.0
         diag[2 * j + 1] = vi if vi is not None else 0.0
-    cov = (s * diag) @ s.T
+    infinite = np.isinf(diag)
+    cov = (s * np.where(infinite, 0.0, diag)) @ s.T
+    if infinite.any():
+        # Fill from the outer products of the infinite columns: a product
+        # with them would give 0 * inf = NaN where a coefficient is zero.
+        unbounded = s[:, infinite] @ s[:, infinite].T
+        cov = np.where(unbounded == 0, cov, np.copysign(np.inf, unbounded))
     quads = tuple((lab, part) for lab in outputs for part in ("re", "im"))
     return QuadratureCovariance(quadratures=quads, matrix=cov)

@@ -145,12 +145,14 @@ class SampledBasis(NamedTuple):
     gram_inverse: np.ndarray
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def sampled_basis(basis: LegendreBasis, n_points: int) -> SampledBasis:
     """theta_0..theta_order_max on basis.grid(n_points), from one recurrence pass.
 
     Every row is computed by the same arithmetic as theta(n, z), so the
-    table agrees with it to the last bit.
+    table agrees with it to the last bit.  The cache holds the two grids of
+    one extraction with a refinement level; a sweep over grating phases
+    needs new grids at every step and would otherwise keep them all.
     """
     z = basis.grid(n_points)
     u = 2 * z / basis.length

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import CovarianceSpec
+from .algebra import CovarianceSpec, LinearInOutMap, light, propagate_covariance
 from .protocol import NoiseCoefficients, ProtocolConfig, extract_noise, full_cycle
 
 CLASSICAL_BENCHMARK = 0.5
@@ -124,40 +124,23 @@ def noise_covariance(
 ) -> PixelNoiseModel:
     """Pixel noise covariances from the added-noise coefficients.
 
-    Writing F = (F_X + i F_P)/sqrt(2) = sum_k c_k m_k with independent spin
-    inputs, the Hermitian noise quadratures obey
-
-        var F_X = sum_k [(Re c_k)^2 V_re(k) + (Im c_k)^2 V_im(k)]
-        var F_P = sum_k [(Im c_k)^2 V_re(k) + (Re c_k)^2 V_im(k)]
-
-    in terms of the per-mode quadrature variances V.  Spin modes are
-    independent across pixels, so both covariances are that variance times
-    the identity, and the model carries just the two variances.  A term
-    whose coefficient part is zero contributes nothing, even against an
-    infinite variance.  Specs that would correlate F_X with F_P (unequal
-    re/im variances on a mode with complex coefficient) are rejected, as
-    the pixel model carries no cross block.
+    The noise F = (F_X + i F_P)/sqrt(2) = sum_k c_k m_k of independent spin
+    inputs is propagated as a one-row map, so var F_X and var F_P are the
+    (re, re) and (im, im) entries of its quadrature covariance.  Spin modes
+    are independent across pixels, so both covariances are that variance
+    times the identity, and the model carries just the two variances.
+    Specs that would correlate F_X with F_P (unequal re/im variances on a
+    mode with complex coefficient) are rejected, as the pixel model carries
+    no cross block.
     """
     if pixel_count < 1:
         raise ValueError("pixel_count must be >= 1")
-    var_x = 0.0
-    var_p = 0.0
-    cross = 0.0
-    for label, coeff in noise.items():
-        v_re, v_im = spin_spec.variance_pair(label)
-        re2, im2 = coeff.real**2, coeff.imag**2
-        var_x += _term(re2, v_re) + _term(im2, v_im)
-        var_p += _term(im2, v_re) + _term(re2, v_im)
-        if v_re != v_im:
-            cross += _term(coeff.real * coeff.imag, v_re - v_im)
-    if abs(cross) > _CROSS_TOL:
+    labels, coefficients = zip(*noise.items())
+    row = LinearInOutMap(labels, (light(),), [coefficients])
+    cov = propagate_covariance(row, spin_spec).matrix
+    if abs(cov[0, 1]) > _CROSS_TOL:
         raise ValueError("X/P noise cross-correlations are not representable")
-    return PixelNoiseModel(pixel_count, var_x, var_p)
-
-
-def _term(weight: float, variance: float) -> float:
-    """weight * variance, with a zero weight giving 0 also for an infinite variance."""
-    return weight * variance if weight else 0.0
+    return PixelNoiseModel(pixel_count, cov[0, 0], cov[1, 1])
 
 
 def fidelity_from_covariance(

@@ -8,12 +8,17 @@ straightforward label-scan composition the package once used is kept
 here too, as the reference its indexed composition must reproduce, and
 so is the oracle's pass map as it was first computed: one spin order at a
 time, with a Filon cumulative sum per source integral and a projector
-solved against every grid point.
+solved against every grid point.  The package gets commutators from the
+symplectic form and noise variances from S Sigma S^T; the complex
+commutator pairing and the hand-derived noise sums it once used are kept
+here as the references for both.
 """
+
+from typing import Sequence
 
 import numpy as np
 
-from holomem.algebra import LinearInOutMap, ModeLabel, light, spin_p, spin_x
+from holomem.algebra import CovarianceSpec, LinearInOutMap, ModeLabel, light, spin_p, spin_x
 from holomem.basis import LegendreBasis, simpson_weights
 from holomem.oracle import _carrier_segment_weights
 
@@ -107,6 +112,80 @@ def noise_coefficients() -> dict[ModeLabel, complex]:
 def squeezed_average_fidelity(r: float) -> float:
     """Closed-form per-pixel fidelity with the three noise modes squeezed."""
     return 1.0 / (1.0 + (11.0 / 60.0) * np.exp(-2.0 * r))
+
+
+class CommutatorTable:
+    """Canonical same-time pairing [m, m'^dag] between register modes.
+
+    Light with itself gives 1; a spin x_n with the p_n of equal order (and
+    stage) gives +/- i; all other pairs commute.  The convention follows the
+    pixel-level picture in which the real and imaginary parts of each
+    non-Hermitian amplitude are independent Hermitian quadratures and the
+    conjugate pairs are (x_n)_r with (p_n)_r and (x_n)_i with (p_n)_i.
+    """
+
+    def pairing(self, first: ModeLabel, second: ModeLabel) -> complex:
+        """[first, second^dag] as a c-number."""
+        if first.kind == "a" and first == second:
+            return 1.0 + 0.0j
+        if first.order == second.order and first.stage == second.stage:
+            if first.kind == "x" and second.kind == "p":
+                return 1.0j
+            if first.kind == "p" and second.kind == "x":
+                return -1.0j
+        return 0.0 + 0.0j
+
+    def matrix(self, register: Sequence[ModeLabel]) -> np.ndarray:
+        register = tuple(register)
+        k = np.zeros((len(register), len(register)), dtype=complex)
+        for i, a in enumerate(register):
+            for j, b in enumerate(register):
+                k[i, j] = self.pairing(a, b)
+        return k
+
+
+def output_commutator(
+    inout_map: LinearInOutMap, table: CommutatorTable, out_label: ModeLabel
+) -> complex:
+    """[O, O^dag] of one output mode, from input commutators and the map.
+
+    For O = sum_k c_k m_k this is sum_{k,l} c_k conj(c_l) [m_k, m_l^dag].
+    An analytic protocol map that preserves the canonical structure returns
+    exactly 1 for the retrieved light mode.
+    """
+    c = inout_map.coefficients[inout_map.out_index(out_label)]
+    k = table.matrix(inout_map.input_register)
+    return complex(c @ k @ np.conj(c))
+
+
+def hand_noise_variances(noise, spin_spec: CovarianceSpec) -> tuple[float, float, float]:
+    """(var F_X, var F_P, cov(F_X, F_P)) of F = sum_k c_k m_k, summed by hand.
+
+    With independent spin inputs the Hermitian noise quadratures obey
+
+        var F_X = sum_k [(Re c_k)^2 V_re(k) + (Im c_k)^2 V_im(k)]
+        var F_P = sum_k [(Im c_k)^2 V_re(k) + (Re c_k)^2 V_im(k)]
+        cov     = sum_k Re c_k Im c_k (V_re(k) - V_im(k))
+
+    in terms of the per-mode quadrature variances V.  A term whose
+    coefficient part is zero contributes nothing, even against an infinite
+    variance.
+    """
+
+    def term(weight: float, variance: float) -> float:
+        return weight * variance if weight else 0.0
+
+    var_x = 0.0
+    var_p = 0.0
+    cross = 0.0
+    for label, coeff in noise.items():
+        v_re, v_im = spin_spec.variance_pair(label)
+        re2, im2 = coeff.real**2, coeff.imag**2
+        var_x += term(re2, v_re) + term(im2, v_im)
+        var_p += term(im2, v_re) + term(re2, v_im)
+        if v_re != v_im:
+            cross += term(coeff.real * coeff.imag, v_re - v_im)
+    return var_x, var_p, cross
 
 
 def row_as_vector(row: dict[ModeLabel, complex], register) -> np.ndarray:

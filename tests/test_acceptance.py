@@ -8,12 +8,7 @@ import time
 
 import numpy as np
 
-from holomem.algebra import (
-    CommutatorTable,
-    CovarianceSpec,
-    light,
-    output_commutator,
-)
+from holomem.algebra import CovarianceSpec, light
 from holomem.fidelity import (
     CLASSICAL_BENCHMARK,
     CLONING_BENCHMARK,
@@ -149,8 +144,8 @@ def test_criterion_5_oracle_equivalence_at_1000_periods():
 
 
 def test_criterion_6_commutator_preservation():
-    analytic_comm = output_commutator(
-        full_cycle(ProtocolConfig(kappa=1.0)), CommutatorTable(), light("R")
+    analytic_comm = reference.output_commutator(
+        full_cycle(ProtocolConfig(kappa=1.0)), reference.CommutatorTable(), light("R")
     )
     analytic_ok = abs(analytic_comm - 1.0) <= 1e-12
     oracle_result = extract_map(

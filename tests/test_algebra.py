@@ -1,27 +1,28 @@
 """Registers, map composition, commutators and covariance propagation."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from holomem.algebra import (
-    CommutatorTable,
     CovarianceSpec,
     LinearInOutMap,
     ModeLabel,
     compose,
     identity_map,
     light,
-    output_commutator,
     propagate_covariance,
-    quadrature_commutators,
-    realify,
     spin_p,
     spin_x,
     standard_register,
     symplectic_form,
 )
 from holomem.protocol import ProtocolConfig, full_cycle, interpass_transform, single_pass
+
+import reference
 
 
 def test_mode_label_validation():
@@ -105,8 +106,8 @@ def test_embedded_rejects_a_register_missing_a_mode():
 
 def test_output_commutator_identity_light():
     reg = standard_register(2)
-    table = CommutatorTable()
-    assert output_commutator(identity_map(reg), table, light()) == 1.0
+    table = reference.CommutatorTable()
+    assert reference.output_commutator(identity_map(reg), table, light()) == 1.0
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0, 1.7])
@@ -114,24 +115,14 @@ def test_output_commutator_single_pass_light(kappa):
     # a_out = a + kappa p0: the p0 term has no x0 partner in the row, so the
     # commutator stays exactly 1 at every coupling
     m = single_pass(ProtocolConfig(kappa=kappa))
-    comm = output_commutator(m, CommutatorTable(), light())
+    comm = reference.output_commutator(m, reference.CommutatorTable(), light())
     assert_allclose(comm, 1.0, atol=1e-14)
 
 
 def test_output_commutator_full_cycle_at_unit_coupling():
     m = full_cycle(ProtocolConfig(kappa=1.0))
-    comm = output_commutator(m, CommutatorTable(), light("R"))
+    comm = reference.output_commutator(m, reference.CommutatorTable(), light("R"))
     assert_allclose(comm, 1.0, atol=1e-12)
-
-
-def test_quadrature_commutators_match_complex_path():
-    # the symplectic (pixel-level) route agrees with the complex pairing
-    m = full_cycle(ProtocolConfig(kappa=1.3))
-    s = realify(m.coefficients)
-    comm = quadrature_commutators(s, m.input_register)
-    i = 2 * m.output_register.index(light("R"))
-    complex_comm = output_commutator(m, CommutatorTable(), light("R"))
-    assert_allclose(comm[i, i + 1], complex_comm.real, atol=1e-12)
 
 
 def test_symplectic_form_is_antisymmetric():
@@ -159,6 +150,20 @@ def test_full_cycle_added_noise_variance():
     cov = propagate_covariance(m, CovarianceSpec.vacuum(), outputs=[light("R")])
     assert_allclose(cov.variance(light("R"), "re") - 0.5, 11 / 60, atol=1e-12)
     assert_allclose(cov.variance(light("R"), "im") - 0.5, 11 / 60, atol=1e-12)
+
+
+def test_infinite_variance_reaches_only_nonzero_coefficients():
+    # p0 enters a@R with a real coefficient: its zero re variance adds
+    # nothing, its infinite im variance makes only var P infinite
+    m = full_cycle(ProtocolConfig(kappa=1.0))
+    spec = CovarianceSpec(variances={spin_p(0): (0.0, math.inf)})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cov = propagate_covariance(m, spec, outputs=[light("R")]).matrix
+    assert cov[1, 1] == math.inf
+    assert np.all(np.isfinite([cov[0, 0], cov[0, 1], cov[1, 0]]))
+    # vacuum gives 1/2 + 11/60; p0's squeezed re quadrature removes (1/6)^2 / 2
+    assert_allclose(cov[0, 0], 0.5 + 11 / 60 - (1 / 6) ** 2 / 2, rtol=1e-12)
 
 
 def test_interpass_preserves_vacuum():

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from holomem.algebra import (
-    CovarianceSpec,
-    LinearInOutMap,
-    propagate_covariance,
-    spin_p,
-    spin_x,
-)
+from holomem.algebra import CovarianceSpec, spin_p, spin_x
 from holomem.fidelity import (
     CLASSICAL_BENCHMARK,
     CLONING_BENCHMARK,
@@ -54,17 +48,19 @@ def test_squeezed_covariance_scales_exponentially():
     assert_allclose(model.cov_p[0, 0], (11 / 60) * np.exp(-2.0), rtol=1e-12)
 
 
-def test_noise_covariance_cross_checked_by_propagation():
-    # independent route: propagate vacuum through a one-row map holding the
-    # noise coefficients; its re/im quadrature variances are var F_X, var F_P
+def test_noise_covariance_cross_checked_by_hand_sums():
+    # independent route: the per-mode quadrature sums of tests/reference.py
     noise = protocol_noise()
-    register = tuple(label for label, _ in noise.items())
-    row = np.array([[coeff for _, coeff in noise.items()]])
-    noise_map = LinearInOutMap(register, (spin_x(99),), row)
-    cov = propagate_covariance(noise_map, CovarianceSpec.vacuum())
-    model = noise_covariance(noise, CovarianceSpec.vacuum(), pixel_count=1)
-    assert_allclose(cov.matrix[0, 0], model.cov_x[0, 0], rtol=1e-13)
-    assert_allclose(cov.matrix[1, 1], model.cov_p[0, 0], rtol=1e-13)
+    for spec in (
+        CovarianceSpec.vacuum(),
+        squeezed_spec(noise, r=1.0),
+        CovarianceSpec(variances={spin_p(0): (0.0, math.inf)}),
+    ):
+        var_x, var_p, cross = reference.hand_noise_variances(noise, spec)
+        model = noise_covariance(noise, spec, pixel_count=1)
+        assert cross == 0.0
+        assert_allclose(model.cov_x[0, 0], var_x, rtol=1e-13)
+        assert_allclose(model.cov_p[0, 0], var_p, rtol=1e-13)
 
 
 def test_noise_covariance_rejects_cross_correlations():

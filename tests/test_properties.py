@@ -1,8 +1,9 @@
 """Property tests: physical invariants of the full cycle over random inputs.
 
-Hypothesis draws the coupling and the Legendre truncation, and random
-register pairs for map composition; the draws are derandomized so the
-suite stays reproducible.
+Hypothesis draws the coupling and the Legendre truncation, random
+register pairs for map composition, and random complex maps for the two
+commutator routes; the draws are derandomized so the suite stays
+reproducible.
 """
 
 import numpy as np
@@ -16,9 +17,10 @@ from holomem.algebra import (
     light,
     light_commutator_from_quadratures,
     realify,
+    standard_register,
     symplectic_form,
 )
-from holomem.protocol import ProtocolConfig, full_cycle
+from holomem.protocol import ProtocolConfig, cycle_register, full_cycle
 
 import reference
 
@@ -103,3 +105,23 @@ def test_compose_matches_tuple_scan_reference(maps):
     assert composed.input_register == expected.input_register
     assert composed.output_register == expected.output_register
     assert np.array_equal(composed.coefficients, expected.coefficients)
+
+
+@PROPERTY_SETTINGS
+@given(
+    build_register=st.sampled_from([standard_register, cycle_register]),
+    order_max=st.integers(min_value=0, max_value=12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_light_commutator_matches_complex_pairing(build_register, order_max, seed):
+    # any complex map, symplectic or not: the symplectic-form route agrees
+    # with the complex pairing of tests/reference.py for every light output
+    register = build_register(order_max)
+    inout_map = _random_map(np.random.default_rng(seed), register, register)
+    s = realify(inout_map.coefficients)
+    table = reference.CommutatorTable()
+    for label in register:
+        if label.kind == "a":
+            expected = reference.output_commutator(inout_map, table, label)
+            comm = light_commutator_from_quadratures(s, register, label)
+            np.testing.assert_allclose(comm, expected, rtol=1e-12, atol=1e-12)

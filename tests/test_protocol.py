@@ -217,10 +217,9 @@ def test_recovery_power_peaks_at_unit_coupling():
     ids=["single", "interpass", "write", "cycle", "classical"],
 )
 def test_light_commutator_preserved_at_unit_coupling(builder, out_label):
-    from holomem.algebra import CommutatorTable, output_commutator
-
     m = builder(ProtocolConfig(kappa=1.0))
-    assert output_commutator(m, CommutatorTable(), out_label) == pytest.approx(1.0, abs=1e-12)
+    comm = reference.output_commutator(m, reference.CommutatorTable(), out_label)
+    assert comm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cycle_register_layout():
