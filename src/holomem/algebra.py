@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,27 +33,40 @@ _KINDS = ("a", "x", "p")
 VACUUM_VARIANCE = 0.5
 
 
-@dataclass(frozen=True)
-class ModeLabel:
+class _ModeLabelFields(NamedTuple):
+    kind: str
+    order: int = 0
+    stage: str = ""
+
+
+class ModeLabel(_ModeLabelFields):
     """One quadrature degree of freedom in a register.
 
     kind: "a" for signal light, "x"/"p" for spin amplitudes.
     order: Legendre order for spin modes (0 for light).
     stage: optional tag distinguishing light pulses (e.g. "W" and "R");
         unused for spin modes.
+
+    An immutable tuple (kind, order, stage), so hashing and equality run at
+    C speed: every map construction and composition hashes whole registers.
+    Every construction route (the constructor, _replace, unpickling) goes
+    through the validating __new__.
     """
 
-    kind: str
-    order: int = 0
-    stage: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown mode kind {self.kind!r}")
-        if self.order < 0:
-            raise ValueError(f"mode order must be nonnegative, got {self.order}")
-        if self.kind == "a" and self.order != 0:
+    def __new__(cls, kind: str, order: int = 0, stage: str = ""):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown mode kind {kind!r}")
+        if order < 0:
+            raise ValueError(f"mode order must be nonnegative, got {order}")
+        if kind == "a" and order != 0:
             raise ValueError("light modes carry no Legendre order")
+        return super().__new__(cls, kind, order, stage)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def conjugate_partner(self) -> "ModeLabel | None":
         """Canonically conjugate spin label (x_n <-> p_n); None for light."""
@@ -80,8 +94,9 @@ def spin_p(order: int) -> ModeLabel:
     return ModeLabel("p", order)
 
 
+@lru_cache(maxsize=128)
 def standard_register(order_max: int, stage: str = "") -> tuple[ModeLabel, ...]:
-    """Register {a, x_0..x_N, p_0..p_N} of one light pass."""
+    """Register {a, x_0..x_N, p_0..p_N} of one light pass (cached)."""
     xs = tuple(spin_x(n) for n in range(order_max + 1))
     ps = tuple(spin_p(n) for n in range(order_max + 1))
     return (light(stage),) + xs + ps
@@ -111,7 +126,8 @@ class LinearInOutMap:
     def __post_init__(self):
         object.__setattr__(self, "input_register", _check_register(self.input_register))
         object.__setattr__(self, "output_register", _check_register(self.output_register))
-        mat = np.asarray(self.coefficients, dtype=complex)
+        # A copy: freezing the caller's own array would lock it for them.
+        mat = np.array(self.coefficients, dtype=complex)
         if mat.shape != (len(self.output_register), len(self.input_register)):
             raise ValueError(
                 f"coefficient matrix shape {mat.shape} does not match registers "
@@ -150,20 +166,59 @@ class LinearInOutMap:
         """Extend an endomap to a larger register, acting as identity elsewhere."""
         if self.input_register != self.output_register:
             raise ValueError("only endomaps (equal registers) can be embedded")
-        register = _check_register(register)
-        position = {lab: i for i, lab in enumerate(register)}
-        try:
-            idx = [position[lab] for lab in self.input_register]
-        except KeyError as exc:
-            raise ValueError(f"embedding register is missing a mode: {exc.args[0]}") from None
+        register = tuple(register)
+        block = _embed_plan(register, self.input_register)
         mat = np.eye(len(register), dtype=complex)
-        mat[np.ix_(idx, idx)] = self.coefficients
+        mat[block] = self.coefficients
         return LinearInOutMap(register, register, mat)
 
 
 def identity_map(register: Sequence[ModeLabel]) -> LinearInOutMap:
     register = tuple(register)
     return LinearInOutMap(register, register, np.eye(len(register), dtype=complex))
+
+
+@lru_cache(maxsize=256)
+def _embed_plan(
+    register: tuple[ModeLabel, ...], inner: tuple[ModeLabel, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """np.ix_ block of `register` that holds the modes of `inner`, read-only."""
+    position = {lab: i for i, lab in enumerate(_check_register(register))}
+    try:
+        idx = [position[lab] for lab in inner]
+    except KeyError as exc:
+        raise ValueError(f"embedding register is missing a mode: {exc.args[0]}") from None
+    block = np.ix_(idx, idx)
+    for index in block:
+        index.flags.writeable = False
+    return block
+
+
+class _ComposePlan(NamedTuple):
+    """Bookkeeping of compose for one (produced, consumed) register pair.
+
+    cols[k] is the position in `produced` of consumed[k]; `passthrough`
+    lists, in order, the produced modes nobody consumes, and `padding`
+    holds their rows of the identity over `produced`.
+    """
+
+    cols: np.ndarray
+    padding: np.ndarray
+    passthrough: tuple[ModeLabel, ...]
+
+
+@lru_cache(maxsize=256)
+def _compose_plan(produced: tuple[ModeLabel, ...], consumed: tuple[ModeLabel, ...]) -> _ComposePlan:
+    position = {lab: i for i, lab in enumerate(produced)}
+    try:
+        cols = np.array([position[lab] for lab in consumed], dtype=np.intp)
+    except KeyError as exc:
+        raise ValueError(f"register mismatch: {exc.args[0]} not produced by first map") from None
+    kept = np.ones(len(produced), dtype=bool)
+    kept[cols] = False
+    padding = np.eye(len(produced))[kept]
+    cols.flags.writeable = padding.flags.writeable = False
+    return _ComposePlan(cols, padding, tuple(lab for lab, k in zip(produced, kept) if k))
 
 
 def compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearInOutMap:
@@ -174,18 +229,12 @@ def compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearInOutMap:
     through unchanged and appended to the composite output register.
     """
     produced = first.output_register
-    consumed = second.input_register
-    position = {lab: i for i, lab in enumerate(produced)}
-    try:
-        cols = [position[lab] for lab in consumed]
-    except KeyError as exc:
-        raise ValueError(f"register mismatch: {exc.args[0]} not produced by first map") from None
-    kept = np.delete(np.arange(len(produced)), cols)
+    plan = _compose_plan(produced, second.input_register)
     n_second = len(second.output_register)
-    full = np.zeros((n_second + len(kept), len(produced)), dtype=complex)
-    full[:n_second, cols] = second.coefficients
-    full[np.arange(n_second, len(full)), kept] = 1.0
-    out_register = second.output_register + tuple(produced[i] for i in kept)
+    full = np.zeros((n_second + len(plan.padding), len(produced)), dtype=complex)
+    full[:n_second, plan.cols] = second.coefficients
+    full[n_second:] = plan.padding
+    out_register = second.output_register + plan.passthrough
     return LinearInOutMap(first.input_register, out_register, full @ first.coefficients)
 
 

@@ -77,11 +77,10 @@ def q_matrix(order_max: int) -> np.ndarray:
     if order_max < 1:
         raise ValueError(f"order_max must be >= 1, got {order_max}")
     q = np.zeros((order_max + 1, order_max + 1))
-    for n in range(order_max + 1):
-        if n >= 1:
-            q[n, n - 1] = 1.0 / np.sqrt((2 * n - 1) * (2 * n + 1))
-        if n < order_max:
-            q[n, n + 1] = -1.0 / np.sqrt((2 * n + 1) * (2 * n + 3))
+    n = np.arange(1, order_max + 1)
+    coupling = 1.0 / np.sqrt((2 * n - 1) * (2 * n + 1))
+    q[n, n - 1] = coupling
+    q[n - 1, n] = -coupling
     return q
 
 

@@ -437,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _merge_params(args.command, args)
         code = _COMMANDS[args.command](params, args.out)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_sidecar(args.out, args.command, params)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,8 +81,9 @@ class ProtocolConfig:
         return (self.kappa * self.kappa) / (2 * emission_probability)
 
 
+@lru_cache(maxsize=128)
 def cycle_register(order_max: int) -> tuple[ModeLabel, ...]:
-    """Register of the full cycle: write light, spins, fresh read light."""
+    """Register of the full cycle: write light, spins, fresh read light (cached)."""
     return standard_register(order_max, stage="W") + (light("R"),)
 
 
@@ -107,17 +109,13 @@ def single_pass(config: ProtocolConfig, stage: str = "") -> LinearInOutMap:
     # raise OverflowError instead.
     second_order = -1j * (kappa * kappa) / 2
     mat = np.eye(dim, dtype=complex)
-    a_i = 0
-    x_i = lambda n: 1 + n
-    p_i = lambda n: 2 + n_max + n
-    mat[a_i, p_i(0)] = kappa
-    mat[x_i(0), a_i] = -1j * kappa
-    mat[x_i(0), p_i(0)] = second_order
-    mat[x_i(0), p_i(1)] = second_order * q[0, 1]
-    for n in range(1, n_max + 1):
-        mat[x_i(n), p_i(n - 1)] = second_order * q[n, n - 1]
-        if n < n_max:
-            mat[x_i(n), p_i(n + 1)] = second_order * q[n, n + 1]
+    n = np.arange(n_max + 1)
+    x_i, p_i = 1 + n, 2 + n_max + n
+    mat[0, p_i[0]] = kappa
+    mat[x_i[0], 0] = -1j * kappa
+    mat[x_i[0], p_i[0]] = second_order
+    mat[x_i[1:], p_i[:-1]] = second_order * np.diagonal(q, -1)
+    mat[x_i[:-1], p_i[1:]] = second_order * np.diagonal(q, 1)
     return LinearInOutMap(register, register, mat)
 
 
@@ -130,9 +128,9 @@ def interpass_transform(order_max: int, stage: str = "") -> LinearInOutMap:
     dim = len(register)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[0, 0] = 1j
-    for n in range(order_max + 1):
-        mat[1 + n, 2 + order_max + n] = -1.0
-        mat[2 + order_max + n, 1 + n] = 1.0
+    n = np.arange(order_max + 1)
+    mat[1 + n, 2 + order_max + n] = -1.0
+    mat[2 + order_max + n, 1 + n] = 1.0
     return LinearInOutMap(register, register, mat)
 
 
@@ -170,12 +168,12 @@ def classical_single_pass_cycle(config: ProtocolConfig) -> LinearInOutMap:
     write = single_pass(config, stage="W").embedded(register)
     read = single_pass(config, stage="R").embedded(register)
     rotation = np.eye(dim, dtype=complex)
-    for n in range(n_max + 1):
-        x_i, p_i = 1 + n, 2 + n_max + n
-        rotation[x_i, x_i] = 0.0
-        rotation[p_i, p_i] = 0.0
-        rotation[x_i, p_i] = -1.0
-        rotation[p_i, x_i] = 1.0
+    n = np.arange(n_max + 1)
+    x_i, p_i = 1 + n, 2 + n_max + n
+    rotation[x_i, x_i] = 0.0
+    rotation[p_i, p_i] = 0.0
+    rotation[x_i, p_i] = -1.0
+    rotation[p_i, x_i] = 1.0
     rotate = LinearInOutMap(register, register, rotation)
     return compose(compose(write, rotate), read)
 

@@ -5,7 +5,8 @@ primitive; the tests check those compositions against the closed-form
 coefficient polynomials below, which were derived by hand once and are
 never computed from the package's own composition machinery.  The
 straightforward label-scan composition the package once used is kept
-here too, as the reference its indexed composition must reproduce, and
+here too, as the reference its indexed composition must reproduce, with
+an entry-by-entry embedding as the reference for its cached one, and
 so is the oracle's pass map as it was first computed: one spin order at a
 time, with a Filon cumulative sum per source integral and a projector
 solved against every grid point.  The package gets commutators from the
@@ -217,6 +218,27 @@ def tuple_scan_compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearI
     full = np.vstack([aligned, rows]) if passthrough else aligned
     out_register = second.output_register + tuple(passthrough)
     return LinearInOutMap(first.input_register, out_register, full @ first.coefficients)
+
+
+def label_lookup_embedded(inner: LinearInOutMap, register) -> LinearInOutMap:
+    """Endomap `inner` over `register`, every entry looked up by its labels.
+
+    An entry whose two labels are both modes of `inner` takes inner's
+    coefficient; every other entry is that of the identity.
+    """
+    register = tuple(register)
+    missing = [lab for lab in inner.input_register if lab not in register]
+    if missing:
+        raise ValueError(f"embedding register is missing a mode: {missing[0]}")
+    inner_modes = set(inner.input_register)
+    mat = np.zeros((len(register), len(register)), dtype=complex)
+    for i, out_label in enumerate(register):
+        for j, in_label in enumerate(register):
+            if out_label in inner_modes and in_label in inner_modes:
+                mat[i, j] = inner.coefficient(out_label, in_label)
+            elif i == j:
+                mat[i, j] = 1.0
+    return LinearInOutMap(register, register, mat)
 
 
 class PerOrderPass:

@@ -1,12 +1,14 @@
 """Registers, map composition, commutators and covariance propagation."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from holomem import algebra
 from holomem.algebra import (
     CovarianceSpec,
     LinearInOutMap,
@@ -20,7 +22,13 @@ from holomem.algebra import (
     standard_register,
     symplectic_form,
 )
-from holomem.protocol import ProtocolConfig, full_cycle, interpass_transform, single_pass
+from holomem.protocol import (
+    ProtocolConfig,
+    cycle_register,
+    full_cycle,
+    interpass_transform,
+    single_pass,
+)
 
 import reference
 
@@ -34,6 +42,95 @@ def test_mode_label_validation():
         ModeLabel("a", 2)
     assert str(light("W")) == "a@W"
     assert str(spin_p(3)) == "p3"
+
+
+def test_equal_fields_give_equal_labels_and_hashes():
+    built = standard_register(3, "W")
+    rebuilt = tuple(ModeLabel(lab.kind, lab.order, lab.stage) for lab in built)
+    assert rebuilt == built and rebuilt is not built
+    assert [hash(lab) for lab in rebuilt] == [hash(lab) for lab in built]
+    assert set(rebuilt) == set(built)
+    lookup = {lab: i for i, lab in enumerate(built)}
+    assert [lookup[lab] for lab in rebuilt] == list(range(len(built)))
+    assert ModeLabel(kind="x", order=1) == spin_x(1)
+
+
+def test_mode_label_repr_and_immutability():
+    label = spin_x(1)
+    assert repr(label) == "ModeLabel(kind='x', order=1, stage='')"
+    with pytest.raises(AttributeError):
+        label.order = 2
+    with pytest.raises(AttributeError):
+        label.extra = 0
+    assert label.conjugate_partner() == spin_p(1)
+    assert light("R").conjugate_partner() is None
+
+
+def test_every_mode_label_route_validates():
+    label = spin_x(1)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(label, protocol))
+        assert restored == label and type(restored) is ModeLabel
+    # unpickling rebuilds the label from its reduce arguments
+    rebuild, args = label.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[:2]
+    assert rebuild(*args) == label
+    with pytest.raises(ValueError, match="unknown mode kind 'b'"):
+        rebuild(args[0], "b", *args[2:])
+    assert label._replace(order=3) == spin_x(3)
+    with pytest.raises(ValueError, match="mode order must be nonnegative, got -1"):
+        label._replace(order=-1)
+    with pytest.raises(ValueError, match="light modes carry no Legendre order"):
+        light()._replace(order=1)
+
+
+def test_registers_are_cached_tuples():
+    assert standard_register(4, "W") is standard_register(4, "W")
+    assert isinstance(standard_register(4), tuple)
+    assert cycle_register(4) is cycle_register(4)
+    assert cycle_register(4) == standard_register(4, "W") + (light("R"),)
+
+
+def test_map_copies_the_callers_array():
+    reg = (light(), spin_x(0), spin_p(0))
+    mat = np.eye(3, dtype=complex)
+    m = LinearInOutMap(reg, reg, mat)
+    assert mat.flags.writeable
+    assert not m.coefficients.flags.writeable
+    mat[0, 1] = 5.0
+    assert_allclose(m.coefficients, np.eye(3))
+
+
+def test_compose_reuses_one_plan_per_register_pair():
+    rng = np.random.default_rng(3)
+    produced = standard_register(2)
+    consumed = (spin_p(1), light(), spin_x(2))
+    outputs = (light("R"), spin_p(3))
+    results = []
+    for _ in range(2):
+        first = LinearInOutMap(
+            produced, produced, rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+        )
+        second = LinearInOutMap(
+            consumed, outputs, rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        )
+        composed = compose(first, second)
+        expected = reference.tuple_scan_compose(first, second)
+        assert composed.output_register == expected.output_register
+        assert np.array_equal(composed.coefficients, expected.coefficients)
+        results.append(composed.coefficients)
+    assert not np.array_equal(results[0], results[1])
+    plan = algebra._compose_plan(produced, consumed)
+    assert plan is algebra._compose_plan(produced, consumed)
+    assert not plan.cols.flags.writeable and not plan.padding.flags.writeable
+
+
+def test_embedding_plan_is_read_only():
+    inner = single_pass(ProtocolConfig(kappa=0.7, order_max=2))
+    register = inner.input_register + (light("R"),)
+    inner.embedded(register)
+    block = algebra._embed_plan(register, inner.input_register)
+    assert block is algebra._embed_plan(register, inner.input_register)
+    assert not any(index.flags.writeable for index in block)
 
 
 def test_register_rejects_duplicates():

@@ -268,6 +268,18 @@ def test_kappa_past_float_range_exits_1(tmp_path, capsys, argv):
     assert not out_file.exists()
 
 
+def test_grid_past_the_address_space_exits_1(tmp_path, capsys):
+    # 4e13 z points: numpy refuses the allocation at once (291 TiB)
+    out_file = tmp_path / "oracle.json"
+    code, out, err = run(
+        capsys, "oracle-verify", "--grating-periods", "1e12", "--out", str(out_file)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON token {token}")
 

@@ -1,8 +1,8 @@
 """Property tests: physical invariants of the full cycle over random inputs.
 
 Hypothesis draws the coupling and the Legendre truncation, random
-register pairs for map composition, and random complex maps for the two
-commutator routes; the draws are derandomized so the suite stays
+register pairs for map composition and embedding, and random complex
+maps for the two commutator routes; the draws are derandomized so the suite stays
 reproducible.
 """
 
@@ -105,6 +105,37 @@ def test_compose_matches_tuple_scan_reference(maps):
     assert composed.input_register == expected.input_register
     assert composed.output_register == expected.output_register
     assert np.array_equal(composed.coefficients, expected.coefficients)
+
+
+@st.composite
+def embeddings(draw):
+    """(inner, register): an endomap on a permuted subset of the register.
+
+    In about half the draws inner also acts on one mode the register lacks.
+    """
+    register = draw(st.lists(st.sampled_from(LABELS), min_size=1, max_size=12, unique=True))
+    inner = draw(st.permutations(register))[: draw(st.integers(1, len(register)))]
+    if draw(st.booleans()):
+        foreign = [lab for lab in LABELS if lab not in register]
+        inner.insert(draw(st.integers(0, len(inner))), draw(st.sampled_from(foreign)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _random_map(rng, inner, inner), tuple(register)
+
+
+@PROPERTY_SETTINGS
+@given(embeddings())
+def test_embedded_matches_label_lookup_reference(embedding):
+    inner, register = embedding
+    try:
+        expected = reference.label_lookup_embedded(inner, register)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            inner.embedded(register)
+        assert str(raised.value) == str(exc)
+        return
+    lifted = inner.embedded(register)
+    assert lifted.input_register == lifted.output_register == register
+    assert np.array_equal(lifted.coefficients, expected.coefficients)
 
 
 @PROPERTY_SETTINGS
