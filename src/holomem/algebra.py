@@ -136,6 +136,26 @@ class LinearInOutMap:
         mat.setflags(write=False)
         object.__setattr__(self, "coefficients", mat)
 
+    @classmethod
+    def _owned(
+        cls,
+        input_register: tuple[ModeLabel, ...],
+        output_register: tuple[ModeLabel, ...],
+        coefficients: np.ndarray,
+    ) -> "LinearInOutMap":
+        """Map over registers already checked, taking over a fresh complex matrix.
+
+        For products built inside this module: the registers come from cached
+        plans that checked them, and the matrix has no other owner, so it is
+        frozen in place instead of copied.
+        """
+        inout_map = object.__new__(cls)
+        object.__setattr__(inout_map, "input_register", input_register)
+        object.__setattr__(inout_map, "output_register", output_register)
+        coefficients.setflags(write=False)
+        object.__setattr__(inout_map, "coefficients", coefficients)
+        return inout_map
+
     def in_index(self, label: ModeLabel) -> int:
         return self.input_register.index(label)
 
@@ -170,7 +190,7 @@ class LinearInOutMap:
         block = _embed_plan(register, self.input_register)
         mat = np.eye(len(register), dtype=complex)
         mat[block] = self.coefficients
-        return LinearInOutMap(register, register, mat)
+        return LinearInOutMap._owned(register, register, mat)
 
 
 def identity_map(register: Sequence[ModeLabel]) -> LinearInOutMap:
@@ -221,6 +241,14 @@ def _compose_plan(produced: tuple[ModeLabel, ...], consumed: tuple[ModeLabel, ..
     return _ComposePlan(cols, padding, tuple(lab for lab, k in zip(produced, kept) if k))
 
 
+@lru_cache(maxsize=256)
+def _joined_register(
+    head: tuple[ModeLabel, ...], tail: tuple[ModeLabel, ...]
+) -> tuple[ModeLabel, ...]:
+    """head + tail, checked for a label listed twice (cached)."""
+    return _check_register(head + tail)
+
+
 def compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearInOutMap:
     """Map applying `first`, then `second` (coefficients second @ first).
 
@@ -234,8 +262,8 @@ def compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearInOutMap:
     full = np.zeros((n_second + len(plan.padding), len(produced)), dtype=complex)
     full[:n_second, plan.cols] = second.coefficients
     full[n_second:] = plan.padding
-    out_register = second.output_register + plan.passthrough
-    return LinearInOutMap(first.input_register, out_register, full @ first.coefficients)
+    out_register = _joined_register(second.output_register, plan.passthrough)
+    return LinearInOutMap._owned(first.input_register, out_register, full @ first.coefficients)
 
 
 # ---------------------------------------------------------------------------

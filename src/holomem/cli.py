@@ -19,6 +19,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -101,6 +103,34 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path in place: overwrite, then cut a regular file to length.
+
+    No O_TRUNC: ext4 flushes a file truncated to zero when it is closed
+    (auto_da_alloc), and that flush costs more than the rest of a small
+    command; renaming a temporary file over the path triggers it too.
+    Devices and FIFOs are written as a stream and never truncated.  If the
+    write fails, a regular file is cut to zero, so no stale tail of the old
+    contents survives.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_table(out: str | None, header: list[str], rows: list[list[str]]) -> None:
     lines = [COMMENT, ",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -108,7 +138,7 @@ def _write_table(out: str | None, header: list[str], rows: list[list[str]]) -> N
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write_file(out, text)
 
 
 def _write_json(out: str | None, payload: dict) -> None:
@@ -116,18 +146,19 @@ def _write_json(out: str | None, payload: dict) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        _write_file(out, text)
 
 
 def _write_sidecar(out: str | None, command: str, params: dict) -> None:
-    if out is None:
+    """Run metadata in <out>.meta.json, beside a regular data file only."""
+    if out is None or not os.path.isfile(out):
         return
     meta = {
         "command": command,
         "parameters": {k: params[k] for k in sorted(params)},
         "version": __version__,
     }
-    Path(f"{out}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    _write_file(f"{out}.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _merge_params(command: str, args: argparse.Namespace) -> dict:
@@ -437,10 +468,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _merge_params(args.command, args)
         code = _COMMANDS[args.command](params, args.out)
+        _write_sidecar(args.out, args.command, params)
     except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_sidecar(args.out, args.command, params)
     return code
 
 

@@ -87,6 +87,14 @@ def cycle_register(order_max: int) -> tuple[ModeLabel, ...]:
     return standard_register(order_max, stage="W") + (light("R"),)
 
 
+@lru_cache(maxsize=64)
+def _shared_q_matrix(order_max: int) -> np.ndarray:
+    """basis.q_matrix(order_max), built once per order and shared read-only."""
+    q = q_matrix(order_max)
+    q.flags.writeable = False
+    return q
+
+
 def single_pass(config: ProtocolConfig, stage: str = "") -> LinearInOutMap:
     """One pass of light through the cell.
 
@@ -103,7 +111,7 @@ def single_pass(config: ProtocolConfig, stage: str = "") -> LinearInOutMap:
     n_max = config.order_max
     register = standard_register(n_max, stage)
     dim = len(register)
-    q = q_matrix(n_max)
+    q = _shared_q_matrix(n_max)
     kappa = config.kappa
     # A float product overflows to inf, which callers detect; kappa**2 would
     # raise OverflowError instead.
@@ -145,12 +153,15 @@ def full_cycle(config: ProtocolConfig) -> LinearInOutMap:
 
     The read stage consumes the write-stage spin outputs directly and a
     fresh light pulse a@R; in the output register the a@R coordinate holds
-    the retrieved light and a@W the discarded write-stage light.
+    the retrieved light and a@W the discarded write-stage light.  The
+    coefficients of a stage do not depend on its light pulse, so the read
+    stage is the write stage's matrix relabelled onto the read register.
     """
     register = cycle_register(config.order_max)
-    write = double_pass_write(config, stage="W").embedded(register)
-    read = double_pass_write(config, stage="R").embedded(register)
-    return compose(write, read)
+    write = double_pass_write(config, stage="W")
+    read_register = standard_register(config.order_max, stage="R")
+    read = write.relabeled(read_register, read_register)
+    return compose(write.embedded(register), read.embedded(register))
 
 
 def classical_single_pass_cycle(config: ProtocolConfig) -> LinearInOutMap:

@@ -139,6 +139,29 @@ def test_register_rejects_duplicates():
         LinearInOutMap(reg, reg, np.eye(2))
 
 
+def test_compose_rejects_an_output_label_listed_twice():
+    # second emits x1, which first also produces and second leaves alone
+    produced = (light(), spin_x(1))
+    first = identity_map(produced)
+    second = LinearInOutMap((light(),), (light(), spin_x(1)), np.ones((2, 1)))
+    with pytest.raises(ValueError, match="more than once"):
+        compose(first, second)
+
+
+def test_products_own_a_frozen_matrix_over_the_checked_registers():
+    reg = standard_register(2)
+    first = LinearInOutMap(reg, reg, np.arange(49, dtype=complex).reshape(7, 7))
+    phase = LinearInOutMap((light(),), (light(),), np.array([[1j]]))
+    for product in (compose(first, phase), phase.embedded(reg)):
+        assert not product.coefficients.flags.writeable
+        assert product.coefficients.dtype == complex
+        assert product.input_register == reg and set(product.output_register) == set(reg)
+        with pytest.raises(ValueError):
+            product.coefficients[0, 0] = 0
+    # the operands stay as they were
+    assert first.coefficients[0, 1] == 1 and phase.coefficients[0, 0] == 1j
+
+
 def test_compose_identity_is_neutral():
     reg = standard_register(2)
     m = LinearInOutMap(reg, reg, np.arange(49, dtype=complex).reshape(7, 7))

@@ -124,6 +124,15 @@ def test_q_matrix_antisymmetry_pattern():
         assert_allclose(q[n, n + 1], -q[n + 1, n], rtol=1e-14)
 
 
+def test_q_matrix_returns_a_fresh_writeable_array():
+    first = q_matrix(4)
+    assert first.flags.writeable
+    first[:] = 7.0
+    second = q_matrix(4)
+    assert second is not first and second.flags.writeable
+    assert second[1, 0] == pytest.approx(1 / np.sqrt(3), rel=1e-14)
+
+
 def test_q_matrix_rejects_order_zero():
     with pytest.raises(ValueError):
         q_matrix(0)

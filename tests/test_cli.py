@@ -1,7 +1,10 @@
 """Command-line front-end: outputs, exit codes, determinism, config files."""
 
+import errno
 import json
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -381,3 +384,103 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     config.write_text(json.dumps({"pixel": 10}))
     code, _, err = run(capsys, "fidelity", "--config", str(config))
     assert code == 1 and "unknown config" in err
+
+
+def test_failed_sidecar_write_exits_1_with_one_error_line(tmp_path, capsys):
+    out_file = tmp_path / "x.csv"
+    (tmp_path / "x.csv.meta.json").mkdir()
+    code, _, err = run(capsys, "fidelity", "--pixels", "3", "--out", str(out_file))
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "meta.json" in err
+
+
+def test_fifo_out_gets_the_data_and_no_sidecar(tmp_path, capsys):
+    reference_file = tmp_path / "reference.csv"
+    assert run(capsys, "fidelity", "--pixels", "3", "--out", str(reference_file))[0] == 0
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    received = []
+
+    def drain():
+        with open(fifo, "rb") as stream:
+            received.append(stream.read())
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    try:
+        code, _, err = run(capsys, "fidelity", "--pixels", "3", "--out", str(fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+    finally:
+        if reader.is_alive():  # the writer never opened the FIFO: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10)
+    assert code == 0, err
+    assert received == [reference_file.read_bytes()]
+    assert not (tmp_path / "pipe.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["fidelity", "--pixels", "3"], "out.csv"), (["maps", "--kappa", "0.7"], "out.json")],
+    ids=["table", "json"],
+)
+def test_shorter_output_overwrites_longer_files_exactly(tmp_path, capsys, argv, name):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    for suffix in ("", ".meta.json"):
+        (reused / f"{name}{suffix}").write_bytes(b"stale line\n" * 20000)
+    for directory in (fresh, reused):
+        assert run(capsys, *argv, "--out", str(directory / name))[0] == 0
+    for suffix in ("", ".meta.json"):
+        expected = (fresh / f"{name}{suffix}").read_bytes()
+        assert len(expected) < 20000
+        assert (reused / f"{name}{suffix}").read_bytes() == expected
+
+
+def test_symlinked_out_writes_through_the_link(tmp_path, capsys):
+    reference_file = tmp_path / "reference.csv"
+    assert run(capsys, "fidelity", "--pixels", "3", "--out", str(reference_file))[0] == 0
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"stale line\n" * 1000)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _, err = run(capsys, "fidelity", "--pixels", "3", "--out", str(link))
+    assert code == 0, err
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == reference_file.read_bytes()
+    assert (tmp_path / "link.csv.meta.json").is_file()
+
+
+def test_output_writes_open_without_truncation(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "out.csv"
+    opened = {}
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        opened[os.fspath(path)] = flags
+        return real_open(path, flags, *args, **kwargs)
+
+    for _ in range(2):  # the second call overwrites both files
+        monkeypatch.setattr(os, "open", spy)
+        code, _, err = run(capsys, "fidelity", "--pixels", "3", "--out", str(out_file))
+        monkeypatch.undo()
+        assert code == 0, err
+        assert {str(out_file), f"{out_file}.meta.json"} <= set(opened)
+        assert not any(flags & os.O_TRUNC for flags in opened.values())
+
+
+def test_failed_write_leaves_no_stale_tail(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "out.csv"
+    out_file.write_bytes(b"stale line\n" * 1000)
+
+    def disk_full(fd, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "write", disk_full)
+    code, _, err = run(capsys, "fidelity", "--pixels", "3", "--out", str(out_file))
+    monkeypatch.undo()
+    assert code == 1 and err.startswith("error:") and "No space left" in err
+    assert out_file.read_bytes() == b""

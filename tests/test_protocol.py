@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from holomem.algebra import light, spin_p, spin_x, standard_register
+from holomem.algebra import compose, light, spin_p, spin_x, standard_register
 from holomem.protocol import (
     ProtocolConfig,
     classical_single_pass_cycle,
@@ -228,3 +228,19 @@ def test_cycle_register_layout():
     assert reg[-1] == light("R")
     assert len(reg) == 2 * (3 + 1) + 2
     assert standard_register(3, "W") == reg[:-1]
+
+
+@pytest.mark.parametrize("order_max", [2, 4, 30])
+@pytest.mark.parametrize("kappa", [0.0, 0.7, 1.0, 1.3])
+def test_full_cycle_read_stage_is_the_read_double_pass(order_max, kappa):
+    # full_cycle builds one stage and relabels it onto the read light; the
+    # cycle must equal the one whose read stage is built from its own passes.
+    config = ProtocolConfig(kappa=kappa, order_max=order_max)
+    register = cycle_register(order_max)
+    write = double_pass_write(config, stage="W").embedded(register)
+    read = double_pass_write(config, stage="R").embedded(register)
+    expected = compose(write, read)
+    cycle = full_cycle(config)
+    assert cycle.input_register == expected.input_register
+    assert cycle.output_register == expected.output_register
+    assert np.array_equal(cycle.coefficients, expected.coefficients)
