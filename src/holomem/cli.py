@@ -158,11 +158,41 @@ def _write_sidecar(out: str | None, command: str, params: dict) -> None:
         "parameters": {k: params[k] for k in sorted(params)},
         "version": __version__,
     }
-    _write_file(f"{out}.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    try:
+        _write_file(f"{out}.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    except OSError:
+        # A data file without its metadata is a failed run: leave it empty,
+        # as a failed data write does.
+        os.truncate(out, 0)
+        raise
+
+
+def _check_config_value(key: str, value, flag_type: type) -> None:
+    """A ValueError naming key unless value is what its flag would parse to.
+
+    JSON booleans are Python ints, and a float flag takes an integer too.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        valid = False
+    elif flag_type is int:
+        valid = isinstance(value, int) or value.is_integer()
+    else:
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"config key {key!r} is out of the float range") from None
+        valid = True
+    if not valid:
+        kind = "an integer" if flag_type is int else "a number"
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
 def _merge_params(command: str, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit command-line flags."""
+    """defaults < config file < explicit command-line flags.
+
+    Every default has its flag's type, so config values are checked against
+    it.
+    """
     params = dict(DEFAULTS[command])
     if args.config is not None:
         file_values = json.loads(Path(args.config).read_text())
@@ -171,6 +201,8 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
         unknown = set(file_values) - set(params)
         if unknown:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in file_values.items():
+            _check_config_value(key, value, type(params[key]))
         params.update(file_values)
     for key in params:
         value = getattr(args, key, None)

@@ -23,13 +23,21 @@ The z integrals of carrier-weighted fields use a Filon-type rule (exact
 integration of the carrier against a piecewise-linear envelope), so the
 accuracy does not degrade as the grating phase grows at fixed points per
 period.
+
+The coupling and the pulse duration enter the pass map only as prefactors
+(its blocks go as kappa^0, kappa^1 and kappa^2), so every z sum behind it
+depends on the grid geometry alone: cell length, order_max, z points and
+effective grating phase.  Those sums are computed once per geometry and
+cached; an extraction on a grid seen before, at any coupling, pays only
+for the coupling-dependent assembly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,6 +179,44 @@ def _z_sums(thetas: np.ndarray, weights: np.ndarray, z: np.ndarray, dk: float):
     return theta_sums, prefix_sums, rhs[:, :, -1].copy()
 
 
+class _GridSums(NamedTuple):
+    """Every input of _pass_map that depends on the grid geometry alone.
+
+    The three arrays of _z_sums, the modes at the cell's ends, the grid's
+    end points and step, and the inverse Gram matrix of the sampled basis.
+    None of them depends on the coupling or the pulse duration, which enter
+    the pass map only as prefactors.  Every array is read-only and
+    O(order_max^2), whatever the number of z points.
+    """
+
+    theta_sums: np.ndarray
+    prefix_sums: np.ndarray
+    last_prefix: np.ndarray
+    first: np.ndarray
+    end: np.ndarray
+    z_first: float
+    z_last: float
+    h: float
+    gram_inverse: np.ndarray
+
+
+@lru_cache(maxsize=2)
+def _grid_sums(basis: LegendreBasis, z_points: int, dk: float) -> _GridSums:
+    """The z sweep of one grid geometry, kept for calls at other couplings.
+
+    Like sampled_basis, the cache holds the two grids of one extraction with
+    a refinement level, so repeated extractions on one grid sweep z once.
+    """
+    thetas, weights, gram_inverse = sampled_basis(basis, z_points)
+    z = basis.grid(z_points)
+    # Copies: views would keep the whole Legendre table alive.
+    first, end = thetas[:, 0].copy(), thetas[:, -1].copy()
+    sums = _z_sums(thetas, weights, z, dk)
+    for table in (*sums, first, end):
+        table.flags.writeable = False
+    return _GridSums(*sums, first, end, z[0], z[-1], z[1] - z[0], gram_inverse)
+
+
 def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
     """One pass as out = linear @ u + conjugate @ conj(u) over the register.
 
@@ -197,17 +243,19 @@ def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
     Every readout Proj(g) = G^{-1} sum_z w theta g is then linear in the
     sums over z of theta_m (1, cos, sin)(2 Delta_k z) times theta_k and the
     prefix sums of theta_k (1, cos, sin)(2 Delta_k z): one pair of real
-    matrix products per chunk of z gives all spin orders at once.
+    matrix products per chunk of z gives all spin orders at once.  Those
+    sums depend on the grid geometry alone and come from the cached
+    _grid_sums; this function only assembles them with the coupling and the
+    pulse duration.
     """
     basis = LegendreBasis(length=grid.length, order_max=grid.order_max)
     check_resolution(basis, grid.z_points)
-    thetas, weights, gram_inverse = sampled_basis(basis, grid.z_points)
-    z = basis.grid(grid.z_points)
-    h = z[1] - z[0]
     dk = grid.delta_k
+    theta_sums, prefix_sums, last_prefix, first, end, z_first, z_last, h, gram_inverse = (
+        _grid_sums(basis, grid.z_points, dk)
+    )
     n_spin = grid.order_max + 1
 
-    theta_sums, prefix_sums, last_prefix = _z_sums(thetas, weights, z, dk)
     gram, gram_cos, gram_sin = theta_sums.reshape(3, n_spin, n_spin)
     # blocks[x][y][m, k] = sum_z (w, w cos, w sin)[x] theta_m (S, Tcos, Tsin)[y]_k
     blocks = prefix_sums.reshape(3, n_spin, 3, n_spin).transpose(0, 2, 1, 3)
@@ -215,8 +263,7 @@ def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
     ones, ones_cos, ones_sin = np.sqrt(grid.length) * theta_sums[:, 0].reshape(3, n_spin)
     counter_ones = ones_cos - 1j * ones_sin  # sum_z w theta_m c^2
     counter_gram = gram_cos - 1j * gram_sin  # sum_z w theta_m theta_k c^2
-    first, end = thetas[:, 0], thetas[:, -1]
-    counter_first, counter_end = np.exp(-2j * dk * z[0]), np.exp(-2j * dk * z[-1])
+    counter_first, counter_end = np.exp(-2j * dk * z_first), np.exp(-2j * dk * z_last)
 
     w0, w1 = _carrier_segment_weights(-dk * h)
     step = w1 * np.exp(1j * dk * h)

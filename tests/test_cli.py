@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holomem.cli import build_parser, main
+from holomem.cli import DEFAULTS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -368,6 +368,25 @@ def test_repeated_calls_in_one_process_reuse_the_parser(tmp_path, capsys):
             assert (tmp_path / f"again.{name}{suffix}").read_bytes() == first
 
 
+def test_warm_oracle_verify_repeats_its_first_output(tmp_path, capsys):
+    # A later call on a grid swept before, after calls on another grid and
+    # at another coupling, writes the first call's bytes.
+    readme = ["oracle-verify", "--grating-periods", "100", "--z-per-period", "40",
+              "--tolerance", "0.01"]
+    out_file = tmp_path / "f.json"
+    sidecar = tmp_path / "f.json.meta.json"
+
+    def run_oracle(*extra):
+        code, out, err = run(capsys, *readme, *extra, "--out", str(out_file))
+        assert code == 0, err
+        return out, out_file.read_bytes(), sidecar.read_bytes()
+
+    first = run_oracle()
+    run_oracle("--grating-periods", "30", "--kappa", "0.9")
+    assert run_oracle("--kappa", "0.9") != first
+    assert run_oracle() == first
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"pixels": 10}))
@@ -377,6 +396,47 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     # explicit flag wins over the file
     code, out, _ = run(capsys, "fidelity", "--config", str(config), "--pixels", "2")
     assert read_csv(out)[0]["pixels"] == "2"
+
+
+@pytest.mark.parametrize(
+    "values, key",
+    [
+        ({"pixels": None}, "pixels"),
+        ({"kappa": "1"}, "kappa"),
+        ({"order_max": 4.5}, "order_max"),
+        ({"pixels": True}, "pixels"),
+        ({"squeeze_r": 10**400}, "squeeze_r"),
+    ],
+    ids=["null", "string", "fractional-int", "bool", "int-past-float-range"],
+)
+def test_config_values_are_checked_against_the_flag_type(tmp_path, capsys, values, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values))
+    out_file = tmp_path / "out.csv"
+    code, _, err = run(capsys, "fidelity", "--config", str(config), "--out", str(out_file))
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert repr(key) in err
+    assert not out_file.exists()
+
+
+def test_config_accepts_what_the_flags_accept(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"order_max": 4.0, "kappa": 1, "pixels": 2}))
+    code, out, _ = run(capsys, "fidelity", "--config", str(config))
+    assert code == 0
+    assert read_csv(out)[0]["pixels"] == "2"
+
+
+def test_defaults_have_their_flags_types():
+    # _merge_params checks config values against the type of the default
+    subparsers = next(
+        action for action in build_parser()._actions if action.dest == "command"
+    )
+    for command, defaults in DEFAULTS.items():
+        flag_types = {a.dest: a.type for a in subparsers.choices[command]._actions}
+        for key, value in defaults.items():
+            assert type(value) is flag_types[key], (command, key)
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
@@ -393,6 +453,8 @@ def test_failed_sidecar_write_exits_1_with_one_error_line(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "meta.json" in err
+    # the data written before the sidecar failed is cut, as on a failed data write
+    assert out_file.read_bytes() == b""
 
 
 def test_fifo_out_gets_the_data_and_no_sidecar(tmp_path, capsys):

@@ -6,6 +6,7 @@ default grid lives in the acceptance suite.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from holomem.algebra import light, spin_p, spin_x
+from holomem.basis import LegendreBasis
 from holomem.oracle import (
     _Z_CHUNK,
     OracleGrid,
+    _grid_sums,
+    _pass_map,
     OracleResult,
     compare,
     extract_map,
@@ -312,7 +316,8 @@ def test_extract_map_peak_memory():
     # Memory guard independent of timing: z is swept in fixed chunks;
     # stacking whole (order_max + 1, z) arrays raises the traced peak.
     grid = OracleGrid(grating_phase=200 * np.pi)
-    extract_map(grid, refinement_levels=1)  # fill the projector cache
+    extract_map(grid, refinement_levels=1)  # fill the Legendre table cache
+    _grid_sums.cache_clear()  # so that the traced call sweeps z again
     tracemalloc.start()
     try:
         extract_map(grid, refinement_levels=1)
@@ -328,6 +333,7 @@ def test_extract_map_peak_memory_at_order_60():
     # below half of one fine-grid (61, 24001) table.
     grid = OracleGrid(grating_phase=600 * np.pi, order_max=60)
     extract_map(grid, refinement_levels=1)
+    _grid_sums.cache_clear()
     tracemalloc.start()
     try:
         extract_map(grid, refinement_levels=1)
@@ -349,3 +355,59 @@ def test_grating_phase_sweep_keeps_only_the_last_grid_tables():
     finally:
         tracemalloc.stop()
     assert current < 4e6
+
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    order_max=st.sampled_from([0, 1, 4, 20]),
+    kappa=st.floats(min_value=0.0, max_value=2.0),
+    duration=st.floats(min_value=0.3, max_value=3.0),
+)
+def test_pass_map_on_a_cache_hit_equals_a_fresh_sweep(order_max, kappa, duration):
+    grid = small_grid(order_max=order_max, kappa=kappa, duration=duration)
+    _grid_sums.cache_clear()
+    _pass_map(replace(grid, kappa=0.5, duration=2.0))  # the entry comes from another call
+    hit = _pass_map(grid)
+    assert _grid_sums.cache_info().hits == 1
+    _grid_sums.cache_clear()
+    fresh = _pass_map(grid)
+    assert _grid_sums.cache_info().misses == 1
+    for cached, swept in zip(hit, fresh):
+        assert cached.tobytes() == swept.tobytes()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"z_points": 1001}, {"order_max": 5}, {"length": 2.0}, {"transverse_phase_shift": 0.1}],
+    ids=["z_points", "order_max", "length", "transverse_phase_shift"],
+)
+def test_grid_sums_are_never_reused_across_geometries(change):
+    base = small_grid(z_points=801)
+    _grid_sums.cache_clear()
+    _pass_map(base)
+    _pass_map(replace(base, **change))
+    assert _grid_sums.cache_info().hits == 0
+    assert _grid_sums.cache_info().misses == 2
+
+
+def test_cached_grid_sums_are_read_only():
+    grid = small_grid()
+    _grid_sums.cache_clear()
+    _pass_map(grid)
+    sums = _grid_sums(LegendreBasis(order_max=grid.order_max), grid.z_points, grid.delta_k)
+    assert _grid_sums.cache_info().hits == 1
+    arrays = [value for value in sums if isinstance(value, np.ndarray)]
+    assert len(arrays) == 6
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+def test_extractions_at_new_couplings_sweep_z_once():
+    _grid_sums.cache_clear()
+    for kappa in (0.8, 1.0, 1.2):
+        extract_map(small_grid(kappa=kappa), refinement_levels=1)
+    info = _grid_sums.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
