@@ -17,9 +17,9 @@ from holomem.algebra import light, spin_p, spin_x
 from holomem.basis import LegendreBasis
 from holomem.oracle import (
     _Z_CHUNK,
-    OracleGrid,
     _grid_sums,
     _pass_map,
+    OracleGrid,
     OracleResult,
     compare,
     extract_map,
@@ -355,7 +355,6 @@ def test_grating_phase_sweep_keeps_only_the_last_grid_tables():
     finally:
         tracemalloc.stop()
     assert current < 4e6
-
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
