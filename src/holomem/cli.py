@@ -256,11 +256,24 @@ def cmd_maps(params: dict, out: str | None) -> int:
     return 0
 
 
-def cmd_fidelity(params: dict, out: str | None) -> int:
+def _pixels(params: dict) -> int:
+    """The pixel count, or a ValueError naming pixels.
+
+    The fidelity's log-determinant takes the count as a float.
+    """
     pixels = int(params["pixels"])
-    r = _finite("squeeze-r", params["squeeze_r"])
     if pixels < 1:
         raise ValueError("pixels must be >= 1")
+    try:
+        float(pixels)
+    except OverflowError:
+        raise ValueError("pixels is out of the float range") from None
+    return pixels
+
+
+def cmd_fidelity(params: dict, out: str | None) -> int:
+    pixels = _pixels(params)
+    r = _finite("squeeze-r", params["squeeze_r"])
     if r < 0:
         raise ValueError("squeeze-r must be nonnegative")
     config = ProtocolConfig(kappa=params["kappa"], order_max=int(params["order_max"]))
@@ -342,13 +355,11 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
 def cmd_squeeze_sweep(params: dict, out: str | None) -> int:
     points = int(params["r_points"])
     lo, hi = _finite("r-min", params["r_min"]), _finite("r-max", params["r_max"])
-    pixels = int(params["pixels"])
+    pixels = _pixels(params)
     if points < 2:
         raise ValueError("squeezing sweep needs at least 2 points")
     if lo < 0 or hi < lo:
         raise ValueError("r range must satisfy 0 <= min <= max")
-    if pixels < 1:
-        raise ValueError("pixels must be >= 1")
     noise = protocol_noise(int(params["order_max"]))
     r_values = np.linspace(lo, hi, points)
     reports = squeezing_sweep(r_values, pixel_count=pixels, noise=noise)

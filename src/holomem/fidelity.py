@@ -51,6 +51,10 @@ class PixelNoiseModel:
     def __init__(self, pixel_count: int, cov_x, cov_p):
         if pixel_count < 1:
             raise ValueError("pixel_count must be >= 1")
+        try:
+            float(pixel_count)  # log_det and F_av take it as a float
+        except OverflowError:
+            raise ValueError("pixel_count is out of the float range") from None
         self.pixel_count = pixel_count
         self._cov_x = _checked_covariance("cov_x", cov_x, pixel_count)
         self._cov_p = _checked_covariance("cov_p", cov_p, pixel_count)

@@ -24,12 +24,14 @@ integration of the carrier against a piecewise-linear envelope), so the
 accuracy does not degrade as the grating phase grows at fixed points per
 period.
 
-The coupling and the pulse duration enter the pass map only as prefactors
-(its blocks go as kappa^0, kappa^1 and kappa^2), so every z sum behind it
-depends on the grid geometry alone: cell length, order_max, z points and
-effective grating phase.  Those sums are computed once per geometry and
-cached; an extraction on a grid seen before, at any coupling, pays only
-for the coupling-dependent assembly.
+Light couples to the spins once and the spins back once, so the pass map
+is M0 + a M1 + a^2 M2 with a = kappa/sqrt(L); the pulse duration cancels.
+The blocks of M0, M1 and M2 depend on the grid geometry alone: cell
+length, order_max, z points and effective grating phase.  The z sweep,
+the Filon weights, the carrier phases and the G^{-1} products that make
+them run once per geometry, and the finished blocks are cached; an
+extraction on a grid seen before, at any coupling, only scales them by a
+and a^2 and fills them into the two maps.
 """
 
 from __future__ import annotations
@@ -179,42 +181,108 @@ def _z_sums(thetas: np.ndarray, weights: np.ndarray, z: np.ndarray, dk: float):
     return theta_sums, prefix_sums, rhs[:, :, -1].copy()
 
 
-class _GridSums(NamedTuple):
-    """Every input of _pass_map that depends on the grid geometry alone.
+class _GridBlocks(NamedTuple):
+    """The coupling-free blocks of one grid geometry's pass map.
 
-    The three arrays of _z_sums, the modes at the cell's ends, the grid's
-    end points and step, and the inverse Gram matrix of the sampled basis.
-    None of them depends on the coupling or the pulse duration, which enter
-    the pass map only as prefactors.  Every array is read-only and
-    O(order_max^2), whatever the number of z points.
+    Light couples to the spins once and the spins back once, so the pass
+    map is M0 + a M1 + a^2 M2 with a = kappa/sqrt(L); the pulse duration
+    cancels.  Each field stacks one block of the linear map and the same
+    block of the conjugate map, as float64 views with real and imaginary
+    parts interleaved: a real product scales both without forming 0 * inf.
+
+    seeds: M0's X <- X and P <- P blocks, G^{-1} gram and G^{-1} counter_gram.
+    light_column: M1's X <- a column.
+    light_row: M1's a <- P row.
+    drive: M2's X <- P block, -i h G^{-1} (alpha - beta_counter) and
+    -i h G^{-1} (beta - alpha_counter), alpha and beta without the coupling.
+
+    Every array is read-only and O(order_max^2), whatever the number of z
+    points: 242 kB together at order_max 60.
     """
 
-    theta_sums: np.ndarray
-    prefix_sums: np.ndarray
-    last_prefix: np.ndarray
-    first: np.ndarray
-    end: np.ndarray
-    z_first: float
-    z_last: float
-    h: float
-    gram_inverse: np.ndarray
+    seeds: np.ndarray
+    light_column: np.ndarray
+    light_row: np.ndarray
+    drive: np.ndarray
 
 
-@lru_cache(maxsize=2)
-def _grid_sums(basis: LegendreBasis, z_points: int, dk: float) -> _GridSums:
-    """The z sweep of one grid geometry, kept for calls at other couplings.
+@lru_cache(maxsize=3)
+def _grid_blocks(basis: LegendreBasis, z_points: int, dk: float) -> _GridBlocks:
+    """The z sweep of one grid geometry, assembled into its pass-map blocks.
 
-    Like sampled_basis, the cache holds the two grids of one extraction with
-    a refinement level, so repeated extractions on one grid sweep z once.
+    The Filon rule for the source integral of f c, with f = theta_k or
+    f = theta_k c^2 and S_j = f_0 + ... + f_{j-1}, telescopes to
+    h [(W0 + W1 e^{i Delta_k h}) S_j + W1 e^{i Delta_k h} (f_j - f_0)].
+    Every readout Proj(g) = G^{-1} sum_z w theta g is then linear in the
+    sums over z of theta_m (1, cos, sin)(2 Delta_k z) times theta_k and the
+    prefix sums of theta_k (1, cos, sin)(2 Delta_k z): one pair of real
+    matrix products per chunk of z gives all spin orders at once (_z_sums).
+    The Filon weights, carrier phases and G^{-1} products run here, once
+    per geometry.
+
+    The cache holds the three grids of one extraction with two refinement
+    levels, 0.73 MB at order_max 60, so repeated extractions on one grid
+    sweep z once.
     """
     thetas, weights, gram_inverse = sampled_basis(basis, z_points)
     z = basis.grid(z_points)
-    # Copies: views would keep the whole Legendre table alive.
-    first, end = thetas[:, 0].copy(), thetas[:, -1].copy()
-    sums = _z_sums(thetas, weights, z, dk)
-    for table in (*sums, first, end):
+    theta_sums, prefix_sums, last_prefix = _z_sums(thetas, weights, z, dk)
+    first, end = thetas[:, 0], thetas[:, -1]
+    h = z[1] - z[0]
+    n_spin = basis.order_max + 1
+
+    gram, gram_cos, gram_sin = theta_sums.reshape(3, n_spin, n_spin)
+    # blocks[x][y][m, k] = sum_z (w, w cos, w sin)[x] theta_m (S, Tcos, Tsin)[y]_k
+    blocks = prefix_sums.reshape(3, n_spin, 3, n_spin).transpose(0, 2, 1, 3)
+    # theta_0 is the constant 1/sqrt(L), so sum_z x theta_m = sqrt(L) sum_z x theta_m theta_0.
+    ones, ones_cos, ones_sin = np.sqrt(basis.length) * theta_sums[:, 0].reshape(3, n_spin)
+    counter_ones = ones_cos - 1j * ones_sin  # sum_z w theta_m c^2
+    counter_gram = gram_cos - 1j * gram_sin  # sum_z w theta_m theta_k c^2
+    counter_first, counter_end = np.exp(-2j * dk * z[0]), np.exp(-2j * dk * z[-1])
+
+    w0, w1 = _carrier_segment_weights(-dk * h)
+    step = w1 * np.exp(1j * dk * h)
+    prefix_weight = w0 + step
+    # Source integrals at L/2, and sum_z w theta_m g for g = alpha_k, beta_k,
+    # conj(beta_k) c^2 and conj(alpha_k) c^2 (G^{-1} of these is the readout),
+    # all at unit coupling.
+    alpha_end = h * (prefix_weight * last_prefix[0] + step * (end - first))
+    beta_end = h * (
+        prefix_weight * (last_prefix[1] - 1j * last_prefix[2])
+        + step * (end * counter_end - first * counter_first)
+    )
+    alpha = h * (prefix_weight * blocks[0, 0] + step * (gram - np.outer(ones, first)))
+    beta = h * (
+        prefix_weight * (blocks[0, 1] - 1j * blocks[0, 2])
+        + step * (counter_gram - counter_first * np.outer(ones, first))
+    )
+    beta_counter = h * (
+        np.conj(prefix_weight)
+        * (blocks[1, 1] + blocks[2, 2] + 1j * (blocks[1, 2] - blocks[2, 1]))
+        + np.conj(step) * (gram - np.conj(counter_first) * np.outer(counter_ones, first))
+    )
+    alpha_counter = h * (
+        np.conj(prefix_weight) * (blocks[1, 0] - 1j * blocks[2, 0])
+        + np.conj(step) * (counter_gram - np.outer(counter_ones, first))
+    )
+
+    def stacked(linear, conjugate):
+        table = np.array([linear, conjugate], dtype=complex).view(np.float64)
         table.flags.writeable = False
-    return _GridSums(*sums, first, end, z[0], z[-1], z[1] - z[0], gram_inverse)
+        return table
+
+    # X gains -i (a/c - conj(a) c) at unit coupling and duration.
+    return _GridBlocks(
+        seeds=stacked(gram_inverse @ gram, gram_inverse @ counter_gram),
+        light_column=stacked(
+            -1j * (gram_inverse @ ones)[:, None], 1j * (gram_inverse @ counter_ones)[:, None]
+        ),
+        light_row=stacked(alpha_end, beta_end),
+        drive=stacked(
+            -1j * (gram_inverse @ (alpha - beta_counter)),
+            -1j * (gram_inverse @ (beta - alpha_counter)),
+        ),
+    )
 
 
 def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -237,80 +305,33 @@ def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
     p_k drives a(z) = alpha_k u + beta_k conj(u), with alpha_k, beta_k the
     source integrals of theta_k/c and theta_k c.
 
-    The Filon rule for the source integral of f c, with f = theta_k or
-    f = theta_k c^2 and S_j = f_0 + ... + f_{j-1}, telescopes to
-    h [(W0 + W1 e^{i Delta_k h}) S_j + W1 e^{i Delta_k h} (f_j - f_0)].
-    Every readout Proj(g) = G^{-1} sum_z w theta g is then linear in the
-    sums over z of theta_m (1, cos, sin)(2 Delta_k z) times theta_k and the
-    prefix sums of theta_k (1, cos, sin)(2 Delta_k z): one pair of real
-    matrix products per chunk of z gives all spin orders at once.  Those
-    sums depend on the grid geometry alone and come from the cached
-    _grid_sums; this function only assembles them with the coupling and the
-    pulse duration.
+    coupling sqrt(T) = kappa/sqrt(L) and T coupling^2 = kappa^2/L, so the
+    map is M0 + a M1 + a^2 M2 with a = kappa/sqrt(L) and no trace of T.
+    The blocks of M0, M1 and M2 depend on the grid geometry alone and come
+    from the cached _grid_blocks, which runs the z sweep, the Filon weights
+    and the G^{-1} products.  Per call, this function only checks the
+    resolution and fills two zeroed matrices with a-scaled blocks.
     """
     basis = LegendreBasis(length=grid.length, order_max=grid.order_max)
     check_resolution(basis, grid.z_points)
-    dk = grid.delta_k
-    theta_sums, prefix_sums, last_prefix, first, end, z_first, z_last, h, gram_inverse = (
-        _grid_sums(basis, grid.z_points, dk)
-    )
+    blocks = _grid_blocks(basis, grid.z_points, grid.delta_k)
+    a = grid.kappa / math.sqrt(grid.length)
     n_spin = grid.order_max + 1
-
-    gram, gram_cos, gram_sin = theta_sums.reshape(3, n_spin, n_spin)
-    # blocks[x][y][m, k] = sum_z (w, w cos, w sin)[x] theta_m (S, Tcos, Tsin)[y]_k
-    blocks = prefix_sums.reshape(3, n_spin, 3, n_spin).transpose(0, 2, 1, 3)
-    # theta_0 is the constant 1/sqrt(L), so sum_z x theta_m = sqrt(L) sum_z x theta_m theta_0.
-    ones, ones_cos, ones_sin = np.sqrt(grid.length) * theta_sums[:, 0].reshape(3, n_spin)
-    counter_ones = ones_cos - 1j * ones_sin  # sum_z w theta_m c^2
-    counter_gram = gram_cos - 1j * gram_sin  # sum_z w theta_m theta_k c^2
-    counter_first, counter_end = np.exp(-2j * dk * z_first), np.exp(-2j * dk * z_last)
-
-    w0, w1 = _carrier_segment_weights(-dk * h)
-    step = w1 * np.exp(1j * dk * h)
-    prefix_weight = w0 + step
-    coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
-    scale = coupling * h
-    # Source integrals at L/2, and sum_z w theta_m g for g = alpha_k, beta_k,
-    # conj(beta_k) c^2 and conj(alpha_k) c^2 (G^{-1} of these is the readout).
-    alpha_end = scale * (prefix_weight * last_prefix[0] + step * (end - first))
-    beta_end = scale * (
-        prefix_weight * (last_prefix[1] - 1j * last_prefix[2])
-        + step * (end * counter_end - first * counter_first)
-    )
-    alpha = scale * (prefix_weight * blocks[0, 0] + step * (gram - np.outer(ones, first)))
-    beta = scale * (
-        prefix_weight * (blocks[0, 1] - 1j * blocks[0, 2])
-        + step * (counter_gram - counter_first * np.outer(ones, first))
-    )
-    beta_counter = scale * (
-        np.conj(prefix_weight)
-        * (blocks[1, 1] + blocks[2, 2] + 1j * (blocks[1, 2] - blocks[2, 1]))
-        + np.conj(step) * (gram - np.conj(counter_first) * np.outer(counter_ones, first))
-    )
-    alpha_counter = scale * (
-        np.conj(prefix_weight) * (blocks[1, 0] - 1j * blocks[2, 0])
-        + np.conj(step) * (counter_gram - np.outer(counter_ones, first))
-    )
-
     dim = 1 + 2 * n_spin
-    sqrt_t = np.sqrt(grid.duration)
-    x_gain = -1j * grid.duration * coupling  # X gains x_gain (a/c - conj(a) c)
-    x_rows = slice(1, 1 + n_spin)
-    x_cols, p_cols = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
-    linear = np.zeros((dim, dim), dtype=complex)
-    conjugate = np.zeros((dim, dim), dtype=complex)
+    maps = np.zeros((2, dim, dim), dtype=complex)  # linear, conjugate
+    parts = maps.view(np.float64)  # columns 2j and 2j + 1 hold column j's re and im
+    x_rows, p_rows = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
+    x_cols, p_cols = slice(2, 2 + 2 * n_spin), slice(2 + 2 * n_spin, 2 * dim)
     # Light: a(z) = a_in / sqrt(T) along the whole cell.
-    linear[0, 0] = 1.0
-    linear[x_rows, 0] = -1j * coupling * sqrt_t * (gram_inverse @ ones)
-    conjugate[x_rows, 0] = 1j * coupling * sqrt_t * (gram_inverse @ counter_ones)
+    maps[0, 0, 0] = 1.0
+    np.multiply(blocks.light_column, a, out=parts[:, x_rows, :2])
     # Seeds read back through the grating; P is never updated.
-    linear[x_rows, x_cols] = linear[p_cols, p_cols] = gram_inverse @ gram
-    conjugate[x_rows, x_cols] = conjugate[p_cols, p_cols] = gram_inverse @ counter_gram
-    linear[0, p_cols] = alpha_end * sqrt_t
-    conjugate[0, p_cols] = beta_end * sqrt_t
-    linear[x_rows, p_cols] = x_gain * (gram_inverse @ (alpha - beta_counter))
-    conjugate[x_rows, p_cols] = x_gain * (gram_inverse @ (beta - alpha_counter))
-    return linear, conjugate
+    parts[:, x_rows, x_cols] = parts[:, p_rows, p_cols] = blocks.seeds
+    np.multiply(blocks.light_row, a, out=parts[:, 0, p_cols])
+    drive = parts[:, x_rows, p_cols]
+    np.multiply(blocks.drive, a, out=drive)
+    drive *= a  # not a^2 drive: a^2 overflows first, and inf * 0 is NaN
+    return maps[0], maps[1]
 
 
 def integrate_single_pass(

@@ -76,6 +76,38 @@ def test_fidelity_pixels_and_squeezing(capsys):
     assert float(row["f_av"]) >= 1 - 1e-7
 
 
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_pixels_past_float_range_exits_1(tmp_path, capsys, route):
+    # The log-determinant takes the pixel count as a float.
+    pixels = 10**330
+    out_file = tmp_path / "fidelity.csv"
+    if route == "flag":
+        args = ["--pixels", str(pixels)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"pixels": pixels}))
+        args = ["--config", str(config)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fidelity", *args, "--out", str(out_file))
+        assert run(capsys, "squeeze-sweep", *args)[0] == 1
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pixels" in err
+    assert not out_file.exists()
+
+
+def test_pixels_far_past_the_overflow_of_f_n(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "fidelity", "--pixels", str(10**30))
+    assert code == 0
+    row = read_csv(out)[0]
+    assert float(row["f_n"]) == 0.0
+    assert float(row["f_av"]) == pytest.approx(60 / 71, abs=1e-12)
+
+
 def test_fidelity_rejects_wrong_coupling(capsys):
     code, _, err = run(capsys, "fidelity", "--kappa", "1.2")
     assert code == 1

@@ -95,6 +95,8 @@ def test_pixel_noise_model_validation():
         )
     with pytest.raises(ValueError, match="semidefinite"):
         PixelNoiseModel(pixel_count=1, cov_x=np.array([[-0.1]]), cov_p=np.eye(1))
+    with pytest.raises(ValueError, match="pixel_count"):
+        PixelNoiseModel(pixel_count=10**330, cov_x=0.5, cov_p=0.5)
 
 
 @pytest.mark.parametrize(

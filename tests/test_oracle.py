@@ -17,7 +17,7 @@ from holomem.algebra import light, spin_p, spin_x
 from holomem.basis import LegendreBasis
 from holomem.oracle import (
     _Z_CHUNK,
-    _grid_sums,
+    _grid_blocks,
     _pass_map,
     OracleGrid,
     OracleResult,
@@ -317,7 +317,7 @@ def test_extract_map_peak_memory():
     # stacking whole (order_max + 1, z) arrays raises the traced peak.
     grid = OracleGrid(grating_phase=200 * np.pi)
     extract_map(grid, refinement_levels=1)  # fill the Legendre table cache
-    _grid_sums.cache_clear()  # so that the traced call sweeps z again
+    _grid_blocks.cache_clear()  # so that the traced call sweeps z again
     tracemalloc.start()
     try:
         extract_map(grid, refinement_levels=1)
@@ -333,7 +333,7 @@ def test_extract_map_peak_memory_at_order_60():
     # below half of one fine-grid (61, 24001) table.
     grid = OracleGrid(grating_phase=600 * np.pi, order_max=60)
     extract_map(grid, refinement_levels=1)
-    _grid_sums.cache_clear()
+    _grid_blocks.cache_clear()
     tracemalloc.start()
     try:
         extract_map(grid, refinement_levels=1)
@@ -365,13 +365,13 @@ def test_grating_phase_sweep_keeps_only_the_last_grid_tables():
 )
 def test_pass_map_on_a_cache_hit_equals_a_fresh_sweep(order_max, kappa, duration):
     grid = small_grid(order_max=order_max, kappa=kappa, duration=duration)
-    _grid_sums.cache_clear()
+    _grid_blocks.cache_clear()
     _pass_map(replace(grid, kappa=0.5, duration=2.0))  # the entry comes from another call
     hit = _pass_map(grid)
-    assert _grid_sums.cache_info().hits == 1
-    _grid_sums.cache_clear()
+    assert _grid_blocks.cache_info().hits == 1
+    _grid_blocks.cache_clear()
     fresh = _pass_map(grid)
-    assert _grid_sums.cache_info().misses == 1
+    assert _grid_blocks.cache_info().misses == 1
     for cached, swept in zip(hit, fresh):
         assert cached.tobytes() == swept.tobytes()
 
@@ -381,23 +381,23 @@ def test_pass_map_on_a_cache_hit_equals_a_fresh_sweep(order_max, kappa, duration
     [{"z_points": 1001}, {"order_max": 5}, {"length": 2.0}, {"transverse_phase_shift": 0.1}],
     ids=["z_points", "order_max", "length", "transverse_phase_shift"],
 )
-def test_grid_sums_are_never_reused_across_geometries(change):
+def test_grid_blocks_are_never_reused_across_geometries(change):
     base = small_grid(z_points=801)
-    _grid_sums.cache_clear()
+    _grid_blocks.cache_clear()
     _pass_map(base)
     _pass_map(replace(base, **change))
-    assert _grid_sums.cache_info().hits == 0
-    assert _grid_sums.cache_info().misses == 2
+    assert _grid_blocks.cache_info().hits == 0
+    assert _grid_blocks.cache_info().misses == 2
 
 
-def test_cached_grid_sums_are_read_only():
+def test_cached_grid_blocks_are_read_only():
     grid = small_grid()
-    _grid_sums.cache_clear()
+    _grid_blocks.cache_clear()
     _pass_map(grid)
-    sums = _grid_sums(LegendreBasis(order_max=grid.order_max), grid.z_points, grid.delta_k)
-    assert _grid_sums.cache_info().hits == 1
-    arrays = [value for value in sums if isinstance(value, np.ndarray)]
-    assert len(arrays) == 6
+    blocks = _grid_blocks(LegendreBasis(order_max=grid.order_max), grid.z_points, grid.delta_k)
+    assert _grid_blocks.cache_info().hits == 1
+    arrays = [value for value in blocks if isinstance(value, np.ndarray)]
+    assert len(arrays) == 4
     for array in arrays:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -405,8 +405,35 @@ def test_cached_grid_sums_are_read_only():
 
 
 def test_extractions_at_new_couplings_sweep_z_once():
-    _grid_sums.cache_clear()
+    _grid_blocks.cache_clear()
     for kappa in (0.8, 1.0, 1.2):
         extract_map(small_grid(kappa=kappa), refinement_levels=1)
-    info = _grid_sums.cache_info()
+    info = _grid_blocks.cache_info()
     assert (info.misses, info.hits) == (2, 4)
+
+
+def test_level_2_extractions_at_new_couplings_sweep_z_once():
+    _grid_blocks.cache_clear()
+    for kappa in (0.8, 1.0, 1.2):
+        extract_map(small_grid(kappa=kappa), refinement_levels=2)
+    info = _grid_blocks.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+
+
+def test_pass_map_does_not_depend_on_the_duration():
+    # coupling sqrt(T) = kappa/sqrt(L) and T coupling^2 = kappa^2/L: T cancels
+    # from the map exactly, not just to rounding.
+    grid = small_grid(kappa=1.3, length=2.0)
+    maps = [_pass_map(replace(grid, duration=duration)) for duration in (0.3, 1.0, 3.0)]
+    for linear, conjugate in maps[1:]:
+        assert linear.tobytes() == maps[0][0].tobytes()
+        assert conjugate.tobytes() == maps[0][1].tobytes()
+
+
+def test_overflowing_coupling_gives_inf_and_never_nan():
+    # kappa^2 overflows; the zero entries of the kappa^2 block must stay zero.
+    with np.errstate(all="ignore"):
+        result = extract_map(OracleGrid(kappa=1e200))
+    entries = np.concatenate([result.linear.ravel(), result.conjugate.ravel()])
+    assert not np.isnan(entries).any()
+    assert np.isinf(entries).any()
