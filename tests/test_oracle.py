@@ -381,7 +381,7 @@ def test_pass_map_on_a_cache_hit_equals_a_fresh_sweep(order_max, kappa, duration
     [{"z_points": 1001}, {"order_max": 5}, {"length": 2.0}, {"transverse_phase_shift": 0.1}],
     ids=["z_points", "order_max", "length", "transverse_phase_shift"],
 )
-def test_grid_blocks_are_never_reused_across_geometries(change):
+def test_grid_sums_are_never_reused_across_geometries(change):
     base = small_grid(z_points=801)
     _grid_blocks.cache_clear()
     _pass_map(base)
@@ -390,7 +390,7 @@ def test_grid_blocks_are_never_reused_across_geometries(change):
     assert _grid_blocks.cache_info().misses == 2
 
 
-def test_cached_grid_blocks_are_read_only():
+def test_cached_grid_sums_are_read_only():
     grid = small_grid()
     _grid_blocks.cache_clear()
     _pass_map(grid)
