@@ -20,7 +20,7 @@ from .algebra import (
     spin_x,
     standard_register,
 )
-from .basis import LegendreBasis, legendre_poly, project_onto_basis, q_matrix, theta
+from .basis import legendre_poly, project_onto_basis, q_matrix, theta
 from .fidelity import (
     CLASSICAL_BENCHMARK,
     CLONING_BENCHMARK,
@@ -36,9 +36,7 @@ from .oracle import (
     OracleResult,
     compare,
     extract_map,
-    integrate_single_pass,
     numerical_full_cycle,
-    numerical_stage_map,
 )
 from .protocol import (
     NoiseCoefficients,
@@ -59,7 +57,6 @@ __all__ = [
     "CLONING_BENCHMARK",
     "CovarianceSpec",
     "FidelityReport",
-    "LegendreBasis",
     "LinearInOutMap",
     "ModeLabel",
     "NoiseCoefficients",
@@ -77,13 +74,11 @@ __all__ = [
     "fidelity_from_covariance",
     "full_cycle",
     "identity_map",
-    "integrate_single_pass",
     "interpass_transform",
     "legendre_poly",
     "light",
     "noise_covariance",
     "numerical_full_cycle",
-    "numerical_stage_map",
     "project_onto_basis",
     "propagate_covariance",
     "q_matrix",

@@ -8,11 +8,14 @@ Legendre polynomials
 which form an orthonormal set on the cell.  Adjacent orders couple through
 the tridiagonal matrix Q built from the Legendre integral recurrence; that
 matrix carries the spin-to-spin transfer coefficients of the light pass.
+
+The sampled tables and the projection work on the unit cell, L = 1: the
+oracle measures z in cell lengths.  theta(n, z, length) keeps L, as the
+independent reference for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -84,27 +87,9 @@ def q_matrix(order_max: int) -> np.ndarray:
     return q
 
 
-@dataclass(frozen=True)
-class LegendreBasis:
-    """Longitudinal mode basis {theta_0 .. theta_order_max} on a cell of length L."""
-
-    length: float = 1.0
-    order_max: int = 4
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"cell length must be positive, got {self.length}")
-        if self.order_max < 0:
-            raise ValueError(f"order_max must be nonnegative, got {self.order_max}")
-
-    def theta(self, n: int, z):
-        if n > self.order_max:
-            raise ValueError(f"order {n} exceeds order_max {self.order_max}")
-        return theta(n, z, self.length)
-
-    def grid(self, n_points: int) -> np.ndarray:
-        """Uniform z grid covering the cell, endpoints included."""
-        return np.linspace(-self.length / 2, self.length / 2, n_points)
+def cell_grid(n_points: int) -> np.ndarray:
+    """Uniform z grid covering the unit cell [-1/2, 1/2], endpoints included."""
+    return np.linspace(-0.5, 0.5, n_points)
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:
@@ -145,23 +130,25 @@ class SampledBasis(NamedTuple):
 
 
 @lru_cache(maxsize=2)
-def sampled_basis(basis: LegendreBasis, n_points: int) -> SampledBasis:
-    """theta_0..theta_order_max on basis.grid(n_points), from one recurrence pass.
+def sampled_basis(order_max: int, n_points: int) -> SampledBasis:
+    """theta_0..theta_order_max on cell_grid(n_points), from one recurrence pass.
 
     Every row is computed by the same arithmetic as theta(n, z), so the
     table agrees with it to the last bit.  The cache holds the two grids of
     one extraction with a refinement level; a sweep over grating phases
     needs new grids at every step and would otherwise keep them all.
     """
-    z = basis.grid(n_points)
-    u = 2 * z / basis.length
-    thetas = np.empty((basis.order_max + 1, n_points))
+    if order_max < 0:
+        raise ValueError(f"order_max must be nonnegative, got {order_max}")
+    z = cell_grid(n_points)
+    u = 2 * z
+    thetas = np.empty((order_max + 1, n_points))
     thetas[0] = 1.0
-    if basis.order_max >= 1:
+    if order_max >= 1:
         thetas[1] = u
-    for k in range(1, basis.order_max):
+    for k in range(1, order_max):
         thetas[k + 1] = ((2 * k + 1) * u * thetas[k] - k * thetas[k - 1]) / (k + 1)
-    thetas *= np.sqrt((2 * np.arange(basis.order_max + 1) + 1) / basis.length)[:, None]
+    thetas *= np.sqrt(2 * np.arange(order_max + 1) + 1.0)[:, None]
     weights = simpson_weights(n_points, z[1] - z[0])
     gram_inverse = np.linalg.inv((thetas * weights) @ thetas.T)
     for table in (thetas, weights, gram_inverse):
@@ -169,24 +156,24 @@ def sampled_basis(basis: LegendreBasis, n_points: int) -> SampledBasis:
     return SampledBasis(thetas, weights, gram_inverse)
 
 
-def check_resolution(basis: LegendreBasis, n_points: int) -> None:
+def check_resolution(order_max: int, n_points: int) -> None:
     """Reject a z grid too coarse to resolve theta_order_max.
 
     P_n has ~n/2 oscillations across the cell; demand 4 points for each.
     """
-    min_points = 4 * max(1, basis.order_max)
+    min_points = 4 * max(1, order_max)
     if n_points < min_points:
         raise ValueError(
             f"z grid too coarse: {n_points} points, need >= {min_points} "
-            f"to resolve theta_{basis.order_max}"
+            f"to resolve theta_{order_max}"
         )
 
 
-def project_onto_basis(samples, basis: LegendreBasis) -> np.ndarray:
+def project_onto_basis(samples, order_max: int) -> np.ndarray:
     """Mode amplitudes integral theta_n(z) f(z) dz of a sampled profile.
 
-    The samples must live on a uniform grid covering [-L/2, L/2] endpoints
-    included.  The integrals are Simpson-weighted sums (see
+    The samples must live on cell_grid(samples.size), the unit cell
+    endpoints included.  The integrals are Simpson-weighted sums (see
     simpson_weights), corrected by the inverse of the discrete Gram matrix
     of the sampled basis: a profile in the span of theta_0..theta_order_max
     gets its amplitudes exactly (to rounding), any other profile differs
@@ -200,8 +187,8 @@ def project_onto_basis(samples, basis: LegendreBasis) -> np.ndarray:
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValueError("samples must be a 1-D array over the z grid")
-    check_resolution(basis, samples.size)
-    thetas, weights, gram_inverse = sampled_basis(basis, samples.size)
+    check_resolution(order_max, samples.size)
+    thetas, weights, gram_inverse = sampled_basis(order_max, samples.size)
     weighted = weights * samples
     if np.iscomplexobj(weighted):
         # Two real products: thetas @ weighted would cast the table to

@@ -489,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--grating-periods", type=float, default=None, help="2 pi layers in the cell")
     p.add_argument("--z-per-period", type=int, default=None, help="z points per grating period")
-    # Accepted for old command lines and ignored: the pass is exact in time.
+    # Ignored, since the pass is exact in time, but still accepted: the
+    # benchmark's oracle-verify workload passes it (bench/workloads.py).
     p.add_argument("--t-steps", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--tolerance", type=float, default=None, help="relative tolerance")
     add_common(p)

@@ -137,8 +137,6 @@ def noise_covariance(
     mode with complex coefficient) are rejected, as the pixel model carries
     no cross block.
     """
-    if pixel_count < 1:
-        raise ValueError("pixel_count must be >= 1")
     labels, coefficients = zip(*noise.items())
     row = LinearInOutMap(labels, (light(),), [coefficients])
     cov = propagate_covariance(row, spin_spec).matrix

@@ -4,20 +4,25 @@ This module validates the analytic single-pass map independently: it
 resolves the fast grating carrier exp(+/- i Delta_k z) on a longitudinal
 grid and integrates
 
-    da/dz = (kappa / sqrt(LT)) P(z) exp(-i Delta_k z)
-    dX/dt = (2 kappa / sqrt(LT)) Im[a(z, t) exp(+i Delta_k z)]
+    da/dz = kappa P(z) exp(-i Delta_k z)
+    dX/dt = 2 kappa Im[a(z, t) exp(+i Delta_k z)]
     dP/dt = 0
 
-for one pass of duration T (retardation neglected, diffraction folded into
-the grating phase per transverse mode).  Without a collective spin
-rotation during the interaction P is static, so a(z) does not depend on
-time and X grows linearly over the pulse: one z sweep integrates the pass
-exactly in time.  The response is R-linear rather than C-linear, so the
-sweep carries each field as its pair of responses to the input amplitudes
-and to their conjugates, and yields the whole input-output map at once:
-the C-linear block comparable with the analytic coefficients, and a
-conjugate-amplitude (counter-rotating) block that decays like
-1/(Delta_k L) and is reported separately as leakage.
+for one pass (retardation neglected, diffraction folded into the grating
+phase per transverse mode).  z is measured in cell lengths and t in pulse
+durations, on the unit cell [-1/2, 1/2] and a unit pulse.  A cell of
+length L and a pulse of duration T enter the equations only through
+kappa/sqrt(LT) and Delta_k L, which are the kappa and Delta_k here, so
+the map has no other scale.
+
+Without a collective spin rotation during the interaction P is static, so
+a(z) does not depend on time and X grows linearly over the pulse: one z
+sweep integrates the pass exactly in time.  The response is R-linear
+rather than C-linear, so the sweep carries each field as its pair of
+responses to the input amplitudes and to their conjugates, and yields the
+whole input-output map at once: the C-linear block comparable with the
+analytic coefficients, and a conjugate-amplitude (counter-rotating) block
+that decays like 1/Delta_k and is reported separately as leakage.
 
 The z integrals of carrier-weighted fields use a Filon-type rule (exact
 integration of the carrier against a piecewise-linear envelope), so the
@@ -25,13 +30,12 @@ accuracy does not degrade as the grating phase grows at fixed points per
 period.
 
 Light couples to the spins once and the spins back once, so the pass map
-is M0 + a M1 + a^2 M2 with a = kappa/sqrt(L); the pulse duration cancels.
-The blocks of M0, M1 and M2 depend on the grid geometry alone: cell
-length, order_max, z points and effective grating phase.  The z sweep,
-the Filon weights, the carrier phases and the G^{-1} products that make
-them run once per geometry, and the finished blocks are cached; an
-extraction on a grid seen before, at any coupling, only scales them by a
-and a^2 and fills them into the two maps.
+is M0 + a M1 + a^2 M2 with a = kappa.  The blocks of M0, M1 and M2 depend
+on the grid geometry alone: order_max, z points and effective grating
+phase.  The z sweep, the Filon weights, the carrier phases and the G^{-1}
+products that make them run once per geometry, and the finished blocks
+are cached; an extraction on a grid seen before, at any coupling, only
+scales them by a and a^2 and fills them into the two maps.
 """
 
 from __future__ import annotations
@@ -39,21 +43,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import (
     LinearInOutMap,
     ModeLabel,
-    compose,
     light,
     light_commutator_from_quadratures,
     realify,
     standard_register,
 )
-from .basis import LegendreBasis, check_resolution, sampled_basis
-from .protocol import cycle_register, interpass_transform
+from .basis import cell_grid, check_resolution, sampled_basis
+from .protocol import cycle_from_write, double_pass
 
 MIN_POINTS_PER_PERIOD = 20
 DEFAULT_POINTS_PER_PERIOD = 40
@@ -66,13 +69,14 @@ _Z_CHUNK = 1024
 class OracleGrid:
     """Discretization and physics parameters of one oracle pass.
 
-    grating_phase is Delta_k_z * L; transverse_phase_shift lumps the
-    per-transverse-mode diffraction correction q^2 L / (2 k_0) into an
-    effective grating phase (the oracle is one-dimensional per transverse
-    mode).  z_points = None picks the default resolution of
-    40 points per grating period.  Time needs no grid: the pass is exact
-    in time (see _pass_map).  Cell length and pulse duration
-    are free scales.
+    The cell is the unit cell and the pulse the unit pulse (see the module
+    docstring): kappa is the dimensionless coupling kappa/sqrt(LT) and
+    grating_phase is Delta_k_z L, on the unit cell the wavenumber Delta_k.
+    transverse_phase_shift lumps the per-transverse-mode diffraction
+    correction q^2 L / (2 k_0) into an effective grating phase (the oracle
+    is one-dimensional per transverse mode).  z_points = None picks the
+    default resolution of 40 points per grating period.  Time needs no
+    grid: the pass is exact in time (see _pass_map).
     """
 
     grating_phase: float = 200 * np.pi
@@ -80,19 +84,15 @@ class OracleGrid:
     order_max: int = 4
     z_points: int | None = None
     transverse_phase_shift: float = 0.0
-    length: float = 1.0
-    duration: float = 1.0
 
     def __post_init__(self):
-        for name in ("kappa", "grating_phase", "transverse_phase_shift", "length", "duration"):
+        for name in ("kappa", "grating_phase", "transverse_phase_shift"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
         if self.order_max < 0:
             raise ValueError("order_max must be nonnegative")
-        if self.length <= 0 or self.duration <= 0:
-            raise ValueError("length and duration must be positive")
         if self.effective_phase <= 0:
             raise ValueError("effective grating phase must be positive")
         if self.z_points is None:
@@ -109,10 +109,6 @@ class OracleGrid:
     @property
     def effective_phase(self) -> float:
         return self.grating_phase - self.transverse_phase_shift
-
-    @property
-    def delta_k(self) -> float:
-        return self.effective_phase / self.length
 
     @property
     def periods(self) -> float:
@@ -185,10 +181,10 @@ class _GridBlocks(NamedTuple):
     """The coupling-free blocks of one grid geometry's pass map.
 
     Light couples to the spins once and the spins back once, so the pass
-    map is M0 + a M1 + a^2 M2 with a = kappa/sqrt(L); the pulse duration
-    cancels.  Each field stacks one block of the linear map and the same
-    block of the conjugate map, as float64 views with real and imaginary
-    parts interleaved: a real product scales both without forming 0 * inf.
+    map is M0 + a M1 + a^2 M2 with a = kappa.  Each field stacks one block
+    of the linear map and the same block of the conjugate map, as float64
+    views with real and imaginary parts interleaved: a real product scales
+    both without forming 0 * inf.
 
     seeds: M0's X <- X and P <- P blocks, G^{-1} gram and G^{-1} counter_gram.
     light_column: M1's X <- a column.
@@ -207,7 +203,7 @@ class _GridBlocks(NamedTuple):
 
 
 @lru_cache(maxsize=3)
-def _grid_blocks(basis: LegendreBasis, z_points: int, dk: float) -> _GridBlocks:
+def _grid_blocks(order_max: int, z_points: int, dk: float) -> _GridBlocks:
     """The z sweep of one grid geometry, assembled into its pass-map blocks.
 
     The Filon rule for the source integral of f c, with f = theta_k or
@@ -224,18 +220,18 @@ def _grid_blocks(basis: LegendreBasis, z_points: int, dk: float) -> _GridBlocks:
     levels, 0.73 MB at order_max 60, so repeated extractions on one grid
     sweep z once.
     """
-    thetas, weights, gram_inverse = sampled_basis(basis, z_points)
-    z = basis.grid(z_points)
+    thetas, weights, gram_inverse = sampled_basis(order_max, z_points)
+    z = cell_grid(z_points)
     theta_sums, prefix_sums, last_prefix = _z_sums(thetas, weights, z, dk)
     first, end = thetas[:, 0], thetas[:, -1]
     h = z[1] - z[0]
-    n_spin = basis.order_max + 1
+    n_spin = order_max + 1
 
     gram, gram_cos, gram_sin = theta_sums.reshape(3, n_spin, n_spin)
     # blocks[x][y][m, k] = sum_z (w, w cos, w sin)[x] theta_m (S, Tcos, Tsin)[y]_k
     blocks = prefix_sums.reshape(3, n_spin, 3, n_spin).transpose(0, 2, 1, 3)
-    # theta_0 is the constant 1/sqrt(L), so sum_z x theta_m = sqrt(L) sum_z x theta_m theta_0.
-    ones, ones_cos, ones_sin = np.sqrt(basis.length) * theta_sums[:, 0].reshape(3, n_spin)
+    # theta_0 is the constant 1, so sum_z x theta_m = sum_z x theta_m theta_0.
+    ones, ones_cos, ones_sin = theta_sums[:, 0].reshape(3, n_spin)
     counter_ones = ones_cos - 1j * ones_sin  # sum_z w theta_m c^2
     counter_gram = gram_cos - 1j * gram_sin  # sum_z w theta_m theta_k c^2
     counter_first, counter_end = np.exp(-2j * dk * z[0]), np.exp(-2j * dk * z[-1])
@@ -243,9 +239,9 @@ def _grid_blocks(basis: LegendreBasis, z_points: int, dk: float) -> _GridBlocks:
     w0, w1 = _carrier_segment_weights(-dk * h)
     step = w1 * np.exp(1j * dk * h)
     prefix_weight = w0 + step
-    # Source integrals at L/2, and sum_z w theta_m g for g = alpha_k, beta_k,
-    # conj(beta_k) c^2 and conj(alpha_k) c^2 (G^{-1} of these is the readout),
-    # all at unit coupling.
+    # Source integrals at z = 1/2, and sum_z w theta_m g for g = alpha_k,
+    # beta_k, conj(beta_k) c^2 and conj(alpha_k) c^2 (G^{-1} of these is the
+    # readout), all at unit coupling.
     alpha_end = h * (prefix_weight * last_prefix[0] + step * (end - first))
     beta_end = h * (
         prefix_weight * (last_prefix[1] - 1j * last_prefix[2])
@@ -271,7 +267,7 @@ def _grid_blocks(basis: LegendreBasis, z_points: int, dk: float) -> _GridBlocks:
         table.flags.writeable = False
         return table
 
-    # X gains -i (a/c - conj(a) c) at unit coupling and duration.
+    # X gains -i (a/c - conj(a) c) at unit coupling.
     return _GridBlocks(
         seeds=stacked(gram_inverse @ gram, gram_inverse @ counter_gram),
         light_column=stacked(
@@ -289,12 +285,11 @@ def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
     """One pass as out = linear @ u + conjugate @ conj(u) over the register.
 
     Spin amplitudes v seed Hermitian (pixel-level) fields
-    2 theta_n(z) Re[v e^{i Delta_k z}]; the light amplitude is the
-    pulse-averaged convention, so the instantaneous boundary value is
-    v/sqrt(T).  P never evolves, so one z sweep gives the field a(z) for
-    the whole pulse; X then grows by T times its constant rate
-    2 coupling Im[a(z) e^{+i Delta_k z}], and the pulse-averaged output is
-    a(L/2) sqrt(T).  Both are exact in time.
+    2 theta_n(z) Re[v e^{i Delta_k z}]; over the unit pulse the light
+    amplitude is its boundary value.  P never evolves, so one z sweep gives
+    the field a(z) for the whole pulse; X then grows by its constant rate
+    2 kappa Im[a(z) e^{+i Delta_k z}], and the output light is a(1/2).
+    Both are exact in time.
 
     Every step is R-linear, so each field is carried as its pair of
     responses to u and conj(u): Re w = (w + conj w)/2 and
@@ -305,24 +300,23 @@ def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
     p_k drives a(z) = alpha_k u + beta_k conj(u), with alpha_k, beta_k the
     source integrals of theta_k/c and theta_k c.
 
-    coupling sqrt(T) = kappa/sqrt(L) and T coupling^2 = kappa^2/L, so the
-    map is M0 + a M1 + a^2 M2 with a = kappa/sqrt(L) and no trace of T.
-    The blocks of M0, M1 and M2 depend on the grid geometry alone and come
-    from the cached _grid_blocks, which runs the z sweep, the Filon weights
-    and the G^{-1} products.  Per call, this function only checks the
-    resolution and fills two zeroed matrices with a-scaled blocks.
+    Light couples to the spins once and back once, so the map is
+    M0 + a M1 + a^2 M2 with a = kappa.  The blocks of M0, M1 and M2 depend
+    on the grid geometry alone and come from the cached _grid_blocks,
+    which runs the z sweep, the Filon weights and the G^{-1} products.  Per
+    call, this function only checks the resolution and fills two zeroed
+    matrices with a-scaled blocks.
     """
-    basis = LegendreBasis(length=grid.length, order_max=grid.order_max)
-    check_resolution(basis, grid.z_points)
-    blocks = _grid_blocks(basis, grid.z_points, grid.delta_k)
-    a = grid.kappa / math.sqrt(grid.length)
+    check_resolution(grid.order_max, grid.z_points)
+    blocks = _grid_blocks(grid.order_max, grid.z_points, grid.effective_phase)
+    a = grid.kappa
     n_spin = grid.order_max + 1
     dim = 1 + 2 * n_spin
     maps = np.zeros((2, dim, dim), dtype=complex)  # linear, conjugate
     parts = maps.view(np.float64)  # columns 2j and 2j + 1 hold column j's re and im
     x_rows, p_rows = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
     x_cols, p_cols = slice(2, 2 + 2 * n_spin), slice(2 + 2 * n_spin, 2 * dim)
-    # Light: a(z) = a_in / sqrt(T) along the whole cell.
+    # Light: a(z) = a_in along the whole cell.
     maps[0, 0, 0] = 1.0
     np.multiply(blocks.light_column, a, out=parts[:, x_rows, :2])
     # Seeds read back through the grating; P is never updated.
@@ -332,28 +326,6 @@ def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(blocks.drive, a, out=drive)
     drive *= a  # not a^2 drive: a^2 overflows first, and inf * 0 is NaN
     return maps[0], maps[1]
-
-
-def integrate_single_pass(
-    grid: OracleGrid, initial: Mapping[ModeLabel, complex] | Sequence[complex]
-) -> np.ndarray:
-    """Final register amplitudes after one pass from the given initial ones.
-
-    `initial` is either a mapping from ModeLabel to complex amplitude
-    (missing modes are zero) or a sequence aligned with grid.register().
-    """
-    register = grid.register()
-    if isinstance(initial, Mapping):
-        unknown = set(initial) - set(register)
-        if unknown:
-            raise ValueError(f"initial amplitudes for modes outside the register: {unknown}")
-        amps = np.array([complex(initial.get(lab, 0.0)) for lab in register])
-    else:
-        amps = np.asarray(initial, dtype=complex)
-        if amps.shape != (len(register),):
-            raise ValueError(f"expected {len(register)} amplitudes, got shape {amps.shape}")
-    linear, conjugate = _pass_map(grid)
-    return linear @ amps + conjugate @ np.conj(amps)
 
 
 @dataclass(frozen=True)
@@ -425,25 +397,10 @@ def extract_map(grid: OracleGrid, refinement_levels: int = 0) -> OracleResult:
     )
 
 
-def numerical_stage_map(result: OracleResult, stage: str = "") -> LinearInOutMap:
-    """Double-pass stage (pass, interpass transform, pass) from oracle data.
-
-    Composes the numerically extracted C-linear single-pass map exactly the
-    way the protocol composes the analytic one, so multi-pass coefficients
-    can be cross-checked end to end.
-    """
-    register = standard_register(result.grid.order_max, stage)
-    one = result.to_map().relabeled(register, register)
-    interpass = interpass_transform(result.grid.order_max, stage)
-    return compose(compose(one, interpass), one)
-
-
 def numerical_full_cycle(result: OracleResult) -> LinearInOutMap:
-    """Full write-read cycle built from the oracle's single-pass map."""
-    register = cycle_register(result.grid.order_max)
-    write = numerical_stage_map(result, "W").embedded(register)
-    read = numerical_stage_map(result, "R").embedded(register)
-    return compose(write, read)
+    """Full write-read cycle of the oracle's pass, composed as full_cycle's."""
+    n, write = result.grid.order_max, standard_register(result.grid.order_max, "W")
+    return cycle_from_write(double_pass(result.to_map().relabeled(write, write), n, "W"), n)
 
 
 @dataclass(frozen=True)

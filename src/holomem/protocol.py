@@ -142,26 +142,39 @@ def interpass_transform(order_max: int, stage: str = "") -> LinearInOutMap:
     return LinearInOutMap(register, register, mat)
 
 
+def double_pass(one: LinearInOutMap, order_max: int, stage: str = "") -> LinearInOutMap:
+    """One full stage (write or read): pass, interpass transform, pass.
+
+    `one` is a single pass over standard_register(order_max, stage): the
+    analytic single_pass, or a pass map extracted by the oracle.
+    """
+    return compose(compose(one, interpass_transform(order_max, stage)), one)
+
+
 def double_pass_write(config: ProtocolConfig, stage: str = "") -> LinearInOutMap:
-    """One full stage (write or read): pass, interpass transform, pass."""
-    one = single_pass(config, stage)
-    return compose(compose(one, interpass_transform(config.order_max, stage)), one)
+    """One full stage of the analytic pass (see double_pass)."""
+    return double_pass(single_pass(config, stage), config.order_max, stage)
 
 
-def full_cycle(config: ProtocolConfig) -> LinearInOutMap:
+def cycle_from_write(write: LinearInOutMap, order_max: int) -> LinearInOutMap:
     """Complete write-read cycle over {a@W, x_0..N, p_0..N, a@R}.
 
+    `write` is one double-pass stage over standard_register(order_max, "W").
     The read stage consumes the write-stage spin outputs directly and a
     fresh light pulse a@R; in the output register the a@R coordinate holds
     the retrieved light and a@W the discarded write-stage light.  The
     coefficients of a stage do not depend on its light pulse, so the read
     stage is the write stage's matrix relabelled onto the read register.
     """
-    register = cycle_register(config.order_max)
-    write = double_pass_write(config, stage="W")
-    read_register = standard_register(config.order_max, stage="R")
+    register = cycle_register(order_max)
+    read_register = standard_register(order_max, stage="R")
     read = write.relabeled(read_register, read_register)
     return compose(write.embedded(register), read.embedded(register))
+
+
+def full_cycle(config: ProtocolConfig) -> LinearInOutMap:
+    """Complete write-read cycle of the analytic pass (see cycle_from_write)."""
+    return cycle_from_write(double_pass_write(config, stage="W"), config.order_max)
 
 
 def classical_single_pass_cycle(config: ProtocolConfig) -> LinearInOutMap:

@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
+from holomem import basis
 from holomem.algebra import CovarianceSpec, LinearInOutMap, ModeLabel, light, spin_p, spin_x
-from holomem.basis import LegendreBasis, simpson_weights
+from holomem.basis import simpson_weights
 from holomem.oracle import _carrier_segment_weights
 
 SQRT3 = np.sqrt(3.0)
@@ -242,23 +243,27 @@ def label_lookup_embedded(inner: LinearInOutMap, register) -> LinearInOutMap:
 
 
 class PerOrderPass:
-    """One oracle pass swept one spin order at a time.
+    """One oracle pass swept one spin order at a time, in a cell of any length.
 
-    Samples theta_n order by order with LegendreBasis.theta, projects with
-    the (order_max+1, z) matrix G^{-1} Theta W, and integrates each source
-    term by a Filon cumulative sum; the package computes the same map from
+    The oracle works on the unit cell and a unit pulse; this reference
+    carries the cell length L and the pulse duration T itself, with the
+    coupling kappa/sqrt(LT) and the wavenumber Delta_k = grating phase / L,
+    so comparing the two checks that L and T drop out.  It samples
+    theta_n(z, L) order by order with basis.theta, projects with the
+    (order_max+1, z) matrix G^{-1} Theta W, and integrates each source term
+    by a Filon cumulative sum; the package computes the same map from
     chunked matrix products over all orders at once.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, length=1.0, duration=1.0):
         self.grid = grid
-        basis = LegendreBasis(length=grid.length, order_max=grid.order_max)
-        self.z = basis.grid(grid.z_points)
+        self.length, self.duration = length, duration
+        self.z = np.linspace(-length / 2, length / 2, grid.z_points)
         self.h = self.z[1] - self.z[0]
-        dk = grid.delta_k
+        dk = grid.effective_phase / length
         self.carrier_pos = np.exp(1j * dk * self.z)  # e^{+i Delta_k z}
         self.carrier_neg = np.conj(self.carrier_pos)
-        self.thetas = np.array([basis.theta(n, self.z) for n in range(grid.order_max + 1)])
+        self.thetas = np.array([basis.theta(n, self.z, length) for n in range(grid.order_max + 1)])
         weighted = self.thetas * simpson_weights(self.z.size, self.h)
         self.projector = np.linalg.solve(weighted @ self.thetas.T, weighted)
         # Filon weights for the source integral against e^{-i Delta_k z}:
@@ -278,11 +283,11 @@ class PerOrderPass:
         grid = self.grid
         n_spin = grid.order_max + 1
         dim = 1 + 2 * n_spin
-        coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
-        sqrt_t = np.sqrt(grid.duration)
+        coupling = grid.kappa / np.sqrt(self.length * self.duration)
+        sqrt_t = np.sqrt(self.duration)
         x_rows, p_rows = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
         counter = self.carrier_neg**2
-        x_gain = -1j * grid.duration * coupling
+        x_gain = -1j * self.duration * coupling
         linear = np.zeros((dim, dim), dtype=complex)
         conjugate = np.zeros((dim, dim), dtype=complex)
 

@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import eval_legendre
 
 from holomem.basis import (
-    LegendreBasis,
+    cell_grid,
     legendre_poly,
     project_onto_basis,
     q_matrix,
@@ -48,28 +48,24 @@ def test_theta_rejects_bad_arguments():
         theta(0, 0.7, 1.0)
     with pytest.raises(ValueError):
         theta(0, 0.0, -1.0)
-    basis = LegendreBasis(order_max=2)
-    with pytest.raises(ValueError):
-        basis.theta(3, 0.0)
 
 
 def test_gram_matrix_is_identity_gauss():
     # Gauss-Legendre nodes integrate the polynomial products exactly
-    basis = LegendreBasis(length=1.3, order_max=4)
+    length = 1.3
     u, w = np.polynomial.legendre.leggauss(64)
-    z = u * basis.length / 2
-    weights = w * basis.length / 2
-    thetas = np.array([basis.theta(n, z) for n in range(5)])
+    z = u * length / 2
+    weights = w * length / 2
+    thetas = np.array([theta(n, z, length) for n in range(5)])
     gram = (thetas * weights) @ thetas.T
     assert_allclose(gram, np.eye(5), atol=1e-10)
 
 
 def test_gram_matrix_is_identity_grid():
     # same check through the Simpson projection path used by the oracle
-    basis = LegendreBasis(order_max=4)
-    z = basis.grid(2001)
+    z = cell_grid(2001)
     for n in range(5):
-        amps = project_onto_basis(basis.theta(n, z), basis)
+        amps = project_onto_basis(theta(n, z), 4)
         expected = np.zeros(5)
         expected[n] = 1.0
         assert_allclose(amps, expected, atol=1e-6)
@@ -79,11 +75,11 @@ def test_gram_matrix_is_identity_grid():
 def test_projection_is_exact_on_the_basis_at_coarsest_grid(extra_point):
     # the Gram correction makes the readout invert the sampled basis exactly,
     # for an odd and an even interval count alike
-    basis = LegendreBasis(length=1.3, order_max=4)
-    z = basis.grid(4 * basis.order_max + extra_point)
-    for n in range(basis.order_max + 1):
-        amps = project_onto_basis(basis.theta(n, z), basis)
-        assert_allclose(amps, np.eye(basis.order_max + 1)[n], atol=1e-12)
+    order_max = 4
+    z = cell_grid(4 * order_max + extra_point)
+    for n in range(order_max + 1):
+        amps = project_onto_basis(theta(n, z), order_max)
+        assert_allclose(amps, np.eye(order_max + 1)[n], atol=1e-12)
 
 
 @pytest.mark.parametrize("n_points", range(4, 10))
@@ -139,42 +135,39 @@ def test_q_matrix_rejects_order_zero():
 
 
 def test_projection_of_basis_function():
-    basis = LegendreBasis(order_max=3)
-    z = basis.grid(1501)
-    amps = project_onto_basis(basis.theta(0, z), basis)
+    z = cell_grid(1501)
+    amps = project_onto_basis(theta(0, z), 3)
     assert_allclose(amps, [1, 0, 0, 0], atol=1e-8)
 
 
 def test_projection_of_linear_profile():
-    length = 0.9
-    basis = LegendreBasis(length=length, order_max=4)
-    z = basis.grid(2001)
-    amps = project_onto_basis(z, basis)
-    assert_allclose(amps[1], np.sqrt(length**3 / 12), rtol=1e-8)
+    z = cell_grid(2001)
+    amps = project_onto_basis(z, 4)
+    assert_allclose(amps[1], np.sqrt(1 / 12), rtol=1e-8)
     assert_allclose(amps[[0, 2, 4]], 0.0, atol=1e-10)
 
 
 def test_projection_is_linear_in_the_profile():
-    basis = LegendreBasis(order_max=4)
-    z = basis.grid(1201)
-    amps = project_onto_basis(basis.theta(1, z) + basis.theta(2, z), basis)
+    z = cell_grid(1201)
+    amps = project_onto_basis(theta(1, z) + theta(2, z), 4)
     assert_allclose(amps, [0, 1, 1, 0, 0], atol=1e-8)
 
 
 def test_projection_rejects_coarse_grid():
-    basis = LegendreBasis(order_max=4)
     with pytest.raises(ValueError, match="coarse"):
-        project_onto_basis(np.ones(8), basis)
+        project_onto_basis(np.ones(8), 4)
 
 
 @pytest.mark.parametrize("length", [1.0, 2.5])
 def test_sampled_table_matches_theta_up_to_order_60(length):
-    basis = LegendreBasis(length=length, order_max=60)
-    z = basis.grid(3001)
-    table = sampled_basis(basis, z.size).thetas
-    assert table.shape == (61, 3001)
+    # The unit-cell table is theta on a cell of any length, scaled:
+    # theta_n(L z, L) = theta_n(z, 1) / sqrt(L).  On a dyadic grid L z and
+    # 2 (L z) / L are exact, so theta sees the table's points bit for bit.
+    z = cell_grid(2049)
+    table = sampled_basis(60, z.size).thetas / np.sqrt(length)
+    assert table.shape == (61, 2049)
     for n in range(61):
-        assert_allclose(table[n], theta(n, z, length), rtol=1e-12, atol=0)
+        assert_allclose(table[n], theta(n, length * z, length), rtol=1e-12, atol=0)
     # endpoints: P_n(+-1) = (+-1)^n
     norms = np.sqrt((2 * np.arange(61) + 1) / length)
     assert_allclose(table[:, -1], norms, rtol=1e-12)
@@ -182,7 +175,7 @@ def test_sampled_table_matches_theta_up_to_order_60(length):
 
 
 def test_sampled_basis_is_read_only():
-    sampled = sampled_basis(LegendreBasis(order_max=4), 101)
+    sampled = sampled_basis(4, 101)
     for table in sampled:
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 1.0
@@ -190,11 +183,15 @@ def test_sampled_basis_is_read_only():
 
 @pytest.mark.parametrize("order_max", [0, 1])
 def test_sampled_basis_at_lowest_orders(order_max):
-    basis = LegendreBasis(order_max=order_max)
-    z = basis.grid(5)
-    thetas, weights, gram_inverse = sampled_basis(basis, 5)
+    z = cell_grid(5)
+    thetas, weights, gram_inverse = sampled_basis(order_max, 5)
     assert thetas.shape == (order_max + 1, 5)
     assert gram_inverse.shape == (order_max + 1, order_max + 1)
     for n in range(order_max + 1):
         assert_allclose(thetas[n], theta(n, z), rtol=1e-12)
     assert_allclose(weights, simpson_weights(5, z[1] - z[0]), rtol=0)
+
+
+def test_sampled_basis_rejects_negative_order():
+    with pytest.raises(ValueError, match="order_max"):
+        sampled_basis(-1, 5)

@@ -97,6 +97,8 @@ def test_pixel_noise_model_validation():
         PixelNoiseModel(pixel_count=1, cov_x=np.array([[-0.1]]), cov_p=np.eye(1))
     with pytest.raises(ValueError, match="pixel_count"):
         PixelNoiseModel(pixel_count=10**330, cov_x=0.5, cov_p=0.5)
+    with pytest.raises(ValueError, match="pixel_count must be >= 1"):
+        noise_covariance(protocol_noise(), CovarianceSpec.vacuum(), pixel_count=0)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ default grid lives in the acceptance suite.
 """
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from holomem.algebra import light, spin_p, spin_x
-from holomem.basis import LegendreBasis
 from holomem.oracle import (
     _Z_CHUNK,
     _grid_blocks,
@@ -23,11 +22,15 @@ from holomem.oracle import (
     OracleResult,
     compare,
     extract_map,
-    integrate_single_pass,
     numerical_full_cycle,
-    numerical_stage_map,
 )
-from holomem.protocol import ProtocolConfig, double_pass_write, full_cycle, single_pass
+from holomem.protocol import (
+    ProtocolConfig,
+    double_pass,
+    double_pass_write,
+    full_cycle,
+    single_pass,
+)
 
 import reference
 
@@ -37,6 +40,14 @@ SMALL = dict(grating_phase=20 * np.pi, kappa=1.0, order_max=4)
 def small_grid(**overrides):
     params = {**SMALL, **overrides}
     return OracleGrid(**params)
+
+
+def apply_pass(grid, initial):
+    """Register amplitudes after one pass, from a dict by label or an aligned array."""
+    if isinstance(initial, dict):
+        initial = np.array([initial.get(label, 0.0) for label in grid.register()], dtype=complex)
+    linear, conjugate = _pass_map(grid)
+    return linear @ initial + conjugate @ np.conj(initial)
 
 
 def analytic(grid):
@@ -54,6 +65,13 @@ def test_grid_validation():
         OracleGrid(kappa=-1.0)
 
 
+def test_grid_has_no_scale_fields():
+    # the oracle works on the unit cell and a unit pulse: kappa and the
+    # grating phase carry the cell length and the pulse duration
+    names = [field.name for field in fields(OracleGrid)]
+    assert names == ["grating_phase", "kappa", "order_max", "z_points", "transverse_phase_shift"]
+
+
 def test_default_grid_resolution():
     grid = OracleGrid(grating_phase=200 * np.pi)
     assert grid.z_points == 4001  # 40 points per period, 100 periods
@@ -68,7 +86,7 @@ def test_transverse_shift_modifies_effective_phase():
 def test_zero_coupling_leaves_amplitudes_unchanged():
     grid = small_grid(kappa=0.0)
     initial = {light(): 0.3 + 0.4j, spin_x(2): -1.0j, spin_p(1): 0.7}
-    out = integrate_single_pass(grid, initial)
+    out = apply_pass(grid, initial)
     reg = grid.register()
     assert_allclose(out[reg.index(light())], 0.3 + 0.4j, atol=1e-14)
     # spin amplitudes come back through the grating projection, so they are
@@ -89,8 +107,8 @@ def test_p_sector_never_evolves():
     # the update never touches P: its readout is identical at any coupling
     initial = np.zeros(11, dtype=complex)
     initial[1:] = np.linspace(0.2, 1.2, 10) * np.exp(1j * np.linspace(0.0, 2.0, 10))
-    out_hot = integrate_single_pass(small_grid(kappa=1.7), initial)
-    out_cold = integrate_single_pass(small_grid(kappa=0.0), initial)
+    out_hot = apply_pass(small_grid(kappa=1.7), initial)
+    out_cold = apply_pass(small_grid(kappa=0.0), initial)
     assert_allclose(out_hot[6:], out_cold[6:], atol=0)
 
 
@@ -100,22 +118,14 @@ def test_integrator_is_real_linear():
     u = rng.standard_normal(11) + 1j * rng.standard_normal(11)
     v = rng.standard_normal(11) + 1j * rng.standard_normal(11)
     alpha, beta = 0.7, -1.3
-    combined = integrate_single_pass(grid, alpha * u + beta * v)
-    separate = alpha * integrate_single_pass(grid, u) + beta * integrate_single_pass(grid, v)
+    combined = apply_pass(grid, alpha * u + beta * v)
+    separate = alpha * apply_pass(grid, u) + beta * apply_pass(grid, v)
     assert_allclose(combined, separate, atol=1e-12)
-
-
-def test_initial_amplitudes_validation():
-    grid = small_grid(order_max=2)
-    with pytest.raises(ValueError, match="outside the register"):
-        integrate_single_pass(grid, {spin_x(5): 1.0})
-    with pytest.raises(ValueError, match="amplitudes"):
-        integrate_single_pass(grid, np.ones(3, dtype=complex))
 
 
 def test_p0_probe_reads_out_into_light():
     grid = small_grid()
-    out = integrate_single_pass(grid, {spin_p(0): 1.0})
+    out = apply_pass(grid, {spin_p(0): 1.0})
     assert_allclose(out[0], grid.kappa, rtol=0.02)
 
 
@@ -180,10 +190,12 @@ def test_refinement_metadata():
 
 
 def test_oracle_results_independent_of_cell_scales():
+    # the reference carries a cell length and a pulse duration; the oracle
+    # works on the unit cell and must give the same map
     base = extract_map(small_grid())
-    scaled = extract_map(small_grid(length=2.5, duration=3.0))
-    assert_allclose(base.linear, scaled.linear, atol=1e-12)
-    assert_allclose(base.conjugate, scaled.conjugate, atol=1e-12)
+    linear, conjugate = reference.PerOrderPass(small_grid(), length=2.5, duration=3.0).pass_map()
+    assert_allclose(base.linear, linear, atol=1e-12)
+    assert_allclose(base.conjugate, conjugate, atol=1e-12)
 
 
 def test_extracted_map_preserves_light_commutator():
@@ -198,7 +210,8 @@ def test_numerical_compositions_track_analytic_maps():
         kappa=grid.kappa, order_max=grid.order_max, grating_phase=grid.grating_phase
     )
     stage_dev = np.abs(
-        numerical_stage_map(result).coefficients - double_pass_write(config).coefficients
+        double_pass(result.to_map(), grid.order_max).coefficients
+        - double_pass_write(config).coefficients
     )
     assert stage_dev.max() < 0.06
     num_cycle = numerical_full_cycle(result)
@@ -209,14 +222,27 @@ def test_numerical_compositions_track_analytic_maps():
     assert cycle_dev.max() < 0.1
 
 
+def test_numerical_full_cycle_takes_the_protocol_route():
+    # fed the analytic pass, the oracle's cycle is full_cycle bit for bit
+    config = ProtocolConfig(kappa=1.3, order_max=4)
+    one = single_pass(config).coefficients
+    fake = OracleResult(
+        register=small_grid().register(),
+        linear=one,
+        conjugate=np.zeros_like(one),
+        grid=small_grid(kappa=1.3),
+    )
+    cycle = numerical_full_cycle(fake)
+    assert cycle.input_register == full_cycle(config).input_register
+    assert cycle.coefficients.tobytes() == full_cycle(config).coefficients.tobytes()
+
+
 @pytest.mark.parametrize(
     "name, value",
     [
         ("kappa", np.nan),
         ("grating_phase", np.inf),
         ("transverse_phase_shift", np.nan),
-        ("length", np.inf),
-        ("duration", np.nan),
     ],
 )
 def test_grid_rejects_non_finite_parameters(name, value):
@@ -224,21 +250,22 @@ def test_grid_rejects_non_finite_parameters(name, value):
         OracleGrid(**{"grating_phase": 20 * np.pi, name: value})
 
 
-def euler_time_loop(grid, amplitudes, t_points=100):
+def euler_time_loop(grid, amplitudes, t_points=100, length=1.0, duration=1.0):
     """One pass integrated by explicit time steps, re-solving a(z) each step.
 
     This is the time loop the oracle ran before it integrated the pass
     exactly in time; it is kept here as the reference for that shortcut.
+    It runs in a cell of the given length, for a pulse of the given duration.
     """
-    integ = reference.PerOrderPass(grid)
+    integ = reference.PerOrderPass(grid, length, duration)
     n_spin = grid.order_max + 1
-    coupling = grid.kappa / np.sqrt(grid.length * grid.duration)
-    dt = grid.duration / t_points
+    coupling = grid.kappa / np.sqrt(length * duration)
+    dt = duration / t_points
     x_field = 2 * np.real(np.outer(amplitudes[1 : 1 + n_spin], integ.carrier_pos))
     p_field = 2 * np.real(np.outer(amplitudes[1 + n_spin :], integ.carrier_pos))
     x_field = np.sum(x_field * integ.thetas, axis=0)
     p_field = np.sum(p_field * integ.thetas, axis=0)
-    a_boundary = amplitudes[0] / np.sqrt(grid.duration)
+    a_boundary = amplitudes[0] / np.sqrt(duration)
     a_time_sum = 0.0 + 0.0j
     for _ in range(t_points):
         a_of_z = a_boundary + coupling * integ.cumulative_source_integral(p_field)
@@ -246,16 +273,17 @@ def euler_time_loop(grid, amplitudes, t_points=100):
         a_time_sum += a_of_z[-1] * dt
     x_out = integ.project(x_field * integ.carrier_neg)
     p_out = integ.project(p_field * integ.carrier_neg)
-    return np.concatenate([[a_time_sum / np.sqrt(grid.duration)], x_out, p_out])
+    return np.concatenate([[a_time_sum / np.sqrt(duration)], x_out, p_out])
 
 
 @pytest.mark.parametrize("scales", [{}, {"length": 2.5, "duration": 3.0}])
 def test_single_sweep_matches_euler_time_loop(scales):
-    grid = small_grid(kappa=1.3, **scales)
+    grid = small_grid(kappa=1.3)
     rng = np.random.default_rng(11)
     for _ in range(4):
         probe = rng.standard_normal(11) + 1j * rng.standard_normal(11)
-        assert_allclose(integrate_single_pass(grid, probe), euler_time_loop(grid, probe), atol=1e-12)
+        expected = euler_time_loop(grid, probe, **scales)
+        assert_allclose(apply_pass(grid, probe), expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("scales", [{}, {"length": 2.5, "duration": 3.0}])
@@ -263,12 +291,13 @@ def test_extracted_map_matches_probes_of_euler_time_loop(scales):
     # Probing mode k with amplitudes 1 and i gives out(e_k) = A_k + B_k and
     # out(i e_k) = i (A_k - B_k), so each column of the C-linear part A and
     # the conjugate part B follows from the pair.
-    grid = small_grid(kappa=1.3, **scales)
+    grid = small_grid(kappa=1.3)
     dim = len(grid.register())
     linear = np.empty((dim, dim), dtype=complex)
     conjugate = np.empty((dim, dim), dtype=complex)
     for k, probe in enumerate(np.eye(dim, dtype=complex)):
-        out_unit, out_imag = euler_time_loop(grid, probe), euler_time_loop(grid, 1j * probe)
+        out_unit = euler_time_loop(grid, probe, **scales)
+        out_imag = euler_time_loop(grid, 1j * probe, **scales)
         linear[:, k] = (out_unit - 1j * out_imag) / 2
         conjugate[:, k] = (out_unit + 1j * out_imag) / 2
     result = extract_map(grid)
@@ -297,10 +326,9 @@ def test_pass_map_matches_per_order_reference(
         kappa=kappa,
         order_max=order_max,
         z_points=z_points,
-        length=length,
-        duration=duration,
     )
-    linear, conjugate = reference.PerOrderPass(grid).pass_map()
+    # the reference runs in a cell of the drawn length and duration
+    linear, conjugate = reference.PerOrderPass(grid, length, duration).pass_map()
     result = extract_map(grid)
     assert_allclose(result.linear, linear, rtol=0, atol=1e-12)
     assert_allclose(result.conjugate, conjugate, rtol=0, atol=1e-12)
@@ -361,12 +389,11 @@ def test_grating_phase_sweep_keeps_only_the_last_grid_tables():
 @given(
     order_max=st.sampled_from([0, 1, 4, 20]),
     kappa=st.floats(min_value=0.0, max_value=2.0),
-    duration=st.floats(min_value=0.3, max_value=3.0),
 )
-def test_pass_map_on_a_cache_hit_equals_a_fresh_sweep(order_max, kappa, duration):
-    grid = small_grid(order_max=order_max, kappa=kappa, duration=duration)
+def test_pass_map_on_a_cache_hit_equals_a_fresh_sweep(order_max, kappa):
+    grid = small_grid(order_max=order_max, kappa=kappa)
     _grid_blocks.cache_clear()
-    _pass_map(replace(grid, kappa=0.5, duration=2.0))  # the entry comes from another call
+    _pass_map(replace(grid, kappa=0.5))  # the entry comes from another call
     hit = _pass_map(grid)
     assert _grid_blocks.cache_info().hits == 1
     _grid_blocks.cache_clear()
@@ -378,8 +405,8 @@ def test_pass_map_on_a_cache_hit_equals_a_fresh_sweep(order_max, kappa, duration
 
 @pytest.mark.parametrize(
     "change",
-    [{"z_points": 1001}, {"order_max": 5}, {"length": 2.0}, {"transverse_phase_shift": 0.1}],
-    ids=["z_points", "order_max", "length", "transverse_phase_shift"],
+    [{"z_points": 1001}, {"order_max": 5}, {"transverse_phase_shift": 0.1}],
+    ids=["z_points", "order_max", "transverse_phase_shift"],
 )
 def test_grid_sums_are_never_reused_across_geometries(change):
     base = small_grid(z_points=801)
@@ -394,7 +421,7 @@ def test_cached_grid_sums_are_read_only():
     grid = small_grid()
     _grid_blocks.cache_clear()
     _pass_map(grid)
-    blocks = _grid_blocks(LegendreBasis(order_max=grid.order_max), grid.z_points, grid.delta_k)
+    blocks = _grid_blocks(grid.order_max, grid.z_points, grid.effective_phase)
     assert _grid_blocks.cache_info().hits == 1
     arrays = [value for value in blocks if isinstance(value, np.ndarray)]
     assert len(arrays) == 4
@@ -418,16 +445,6 @@ def test_level_2_extractions_at_new_couplings_sweep_z_once():
         extract_map(small_grid(kappa=kappa), refinement_levels=2)
     info = _grid_blocks.cache_info()
     assert (info.misses, info.hits) == (3, 6)
-
-
-def test_pass_map_does_not_depend_on_the_duration():
-    # coupling sqrt(T) = kappa/sqrt(L) and T coupling^2 = kappa^2/L: T cancels
-    # from the map exactly, not just to rounding.
-    grid = small_grid(kappa=1.3, length=2.0)
-    maps = [_pass_map(replace(grid, duration=duration)) for duration in (0.3, 1.0, 3.0)]
-    for linear, conjugate in maps[1:]:
-        assert linear.tobytes() == maps[0][0].tobytes()
-        assert conjugate.tobytes() == maps[0][1].tobytes()
 
 
 def test_overflowing_coupling_gives_inf_and_never_nan():
