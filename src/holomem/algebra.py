@@ -309,9 +309,14 @@ def symplectic_form(register: Sequence[ModeLabel]) -> np.ndarray:
 
     Light pairs (a_r, a_i) are mutually conjugate; spin quadratures pair
     (x_n)_r with (p_n)_r and (x_n)_i with (p_n)_i.  Spin modes whose partner
-    is absent from the register commute with everything.
+    is absent from the register commute with everything.  Built once per
+    register and shared read-only.
     """
-    register = tuple(register)
+    return _symplectic_form(tuple(register))
+
+
+@lru_cache(maxsize=16)  # 0.5 MB each for an order-60 cycle register
+def _symplectic_form(register: tuple[ModeLabel, ...]) -> np.ndarray:
     quads = quadrature_register(register)
     omega = np.zeros((len(quads), len(quads)))
     for i, lab in enumerate(register):
@@ -326,6 +331,7 @@ def symplectic_form(register: Sequence[ModeLabel]) -> np.ndarray:
                 omega[2 * j, 2 * i] = -1.0
                 omega[2 * i + 1, 2 * j + 1] = 1.0
                 omega[2 * j + 1, 2 * i + 1] = -1.0
+    omega.flags.writeable = False
     return omega
 
 
@@ -338,7 +344,7 @@ def light_commutator_from_quadratures(
     [u'_a, u'_b] / i, which equal Omega when the map preserves them.
     """
     register = tuple(register)
-    comm = s @ symplectic_form(register) @ s.T
+    comm = s @ _symplectic_form(register) @ s.T
     i = 2 * register.index(out_label)
     return float(comm[i, i + 1])
 

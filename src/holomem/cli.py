@@ -90,7 +90,7 @@ def _finite(name: str, value) -> float:
 
 def _require_finite(name: str, values, kappa: float) -> None:
     """A ValueError naming kappa unless every value (array or scalars) is finite."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError(f"kappa = {kappa!r} is too large: the {name} overflows")
 
 
@@ -103,8 +103,8 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_file(path: str, text: str) -> None:
-    """Write text to path in place: overwrite, then cut a regular file to length.
+def _write_file(path: str | None, text: str) -> None:
+    """Write text to stdout, or to path in place: overwrite, then cut a regular file to length.
 
     No O_TRUNC: ext4 flushes a file truncated to zero when it is closed
     (auto_da_alloc), and that flush costs more than the rest of a small
@@ -113,6 +113,9 @@ def _write_file(path: str, text: str) -> None:
     write fails, a regular file is cut to zero, so no stale tail of the old
     contents survives.
     """
+    if path is None:
+        sys.stdout.write(text)
+        return
     data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
@@ -134,19 +137,42 @@ def _write_file(path: str, text: str) -> None:
 def _write_table(out: str | None, header: list[str], rows: list[list[str]]) -> None:
     lines = [COMMENT, ",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(out, text)
+    _write_file(out, "\n".join(lines) + "\n")
+
+
+_quote = json.encoder.encode_basestring_ascii  # in C
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True, allow_nan=False), byte for byte.
+
+    json.dumps indents only in its pure-Python encoder, which costs more than
+    a warm oracle-verify's physics.  Dict keys must be strings; newline is
+    the line break and indent before this value's closing bracket.
+    """
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _JSON_CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{_quote(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_json(out: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        _write_file(out, text)
+    _write_file(out, _json_text(payload) + "\n")
 
 
 def _write_sidecar(out: str | None, command: str, params: dict) -> None:
@@ -159,8 +185,8 @@ def _write_sidecar(out: str | None, command: str, params: dict) -> None:
         "version": __version__,
     }
     try:
-        _write_file(f"{out}.meta.json", json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    except OSError:
+        _write_file(f"{out}.meta.json", _json_text(meta) + "\n")
+    except (OSError, ValueError):
         # A data file without its metadata is a failed run: leave it empty,
         # as a failed data write does.
         os.truncate(out, 0)
@@ -413,7 +439,8 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
         report = compare(result, analytic, tolerance)
         light_commutator = result.light_commutator()
     _require_finite("single_pass map", analytic.coefficients, grid.kappa)
-    _require_finite("oracle map", [result.linear, result.conjugate], grid.kappa)
+    for block in (result.linear, result.conjugate):
+        _require_finite("oracle map", block, grid.kappa)
     _require_finite(
         "oracle report",
         [report.max_relative, report.max_absolute, report.max_zero_entry, report.leakage,
@@ -449,8 +476,13 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
     return 0 if report.passed else 2
 
 
-@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # parse_args leaves a parser unchanged, so one serves every call
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog="holomem",
         description="double-pass volume-hologram memory: maps, fidelity, oracle checks",
@@ -495,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=None, help="relative tolerance")
     add_common(p)
 
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -507,8 +539,24 @@ _COMMANDS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as build_parser() parses it.
+
+    An argv that starts with a command goes straight to that command's
+    subparser: the top-level parser would only hand it on, at the cost of a
+    second parse.  An unknown flag is then reported in the subparser's usage
+    line ("holomem oracle-verify"), not the top-level one.
+    """
+    parser, commands = _parsers()
+    if not (argv and argv[0] in commands):
+        return parser.parse_args(argv)
+    args = commands[argv[0]].parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         params = _merge_params(args.command, args)
         code = _COMMANDS[args.command](params, args.out)

@@ -117,7 +117,13 @@ class OracleGrid:
 
     def refined(self, factor: int = 2) -> "OracleGrid":
         """Same physics on a grid with `factor` times finer z steps."""
-        return replace(self, z_points=(self.z_points - 1) * factor + 1)
+        z_points = (self.z_points - 1) * factor + 1
+        if not (isinstance(factor, int) and factor >= 1):
+            return replace(self, z_points=z_points)  # not finer: check it
+        # A finer grid of a checked one passes every check of __post_init__.
+        grid = object.__new__(type(self))
+        grid.__dict__.update(self.__dict__, z_points=z_points)
+        return grid
 
     def register(self) -> tuple[ModeLabel, ...]:
         return standard_register(self.order_max)
@@ -281,8 +287,8 @@ def _grid_blocks(order_max: int, z_points: int, dk: float) -> _GridBlocks:
     )
 
 
-def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
-    """One pass as out = linear @ u + conjugate @ conj(u) over the register.
+def _pass_map(grid: OracleGrid) -> np.ndarray:
+    """One pass as out = linear @ u + conjugate @ conj(u), stacked as [linear, conjugate].
 
     Spin amplitudes v seed Hermitian (pixel-level) fields
     2 theta_n(z) Re[v e^{i Delta_k z}]; over the unit pulse the light
@@ -325,7 +331,7 @@ def _pass_map(grid: OracleGrid) -> tuple[np.ndarray, np.ndarray]:
     drive = parts[:, x_rows, p_cols]
     np.multiply(blocks.drive, a, out=drive)
     drive *= a  # not a^2 drive: a^2 overflows first, and inf * 0 is NaN
-    return maps[0], maps[1]
+    return maps
 
 
 @dataclass(frozen=True)
@@ -354,7 +360,7 @@ class OracleResult:
 
     def leakage_magnitude(self) -> float:
         """Largest conjugate-response coefficient, O(1/grating_phase)."""
-        return float(np.max(np.abs(self.conjugate)))
+        return float(np.abs(self.conjugate).max())
 
     def light_commutator(self) -> float:
         """[a_out, a_out^dag] of the extracted map, leakage included."""
@@ -369,27 +375,22 @@ def extract_map(grid: OracleGrid, refinement_levels: int = 0) -> OracleResult:
     finer grids to measure convergence; the reported coefficients are those
     of the requested grid.
     """
-    linear, conjugate = _pass_map(grid)
+    maps = prev = _pass_map(grid)
     ratios: list[float] = []
     order = None
     tolerance = None
-    prev_linear, prev_conjugate = linear, conjugate
     for level in range(1, refinement_levels + 1):
-        fine_linear, fine_conjugate = _pass_map(grid.refined(2**level))
-        change = max(
-            float(np.max(np.abs(fine_linear - prev_linear))),
-            float(np.max(np.abs(fine_conjugate - prev_conjugate))),
-        )
-        ratios.append(change)
-        prev_linear, prev_conjugate = fine_linear, fine_conjugate
+        fine = _pass_map(grid.refined(2**level))
+        ratios.append(float(np.abs(fine - prev).max()))  # over both blocks
+        prev = fine
     if len(ratios) >= 2 and ratios[-1] > 0:
         order = float(np.log2(ratios[-2] / ratios[-1]))
     if ratios:
         tolerance = 2 * ratios[-1]
     return OracleResult(
         register=grid.register(),
-        linear=linear,
-        conjugate=conjugate,
+        linear=maps[0],
+        conjugate=maps[1],
         grid=grid,
         refinement_ratios=tuple(ratios),
         estimated_order=order,
@@ -446,18 +447,20 @@ def compare(
         raise ValueError("oracle and analytic registers do not match")
     reference = analytic.coefficients
     deviation = np.abs(result.linear - reference)
-    nonzero = np.abs(reference) > zero_threshold
-    relative = np.zeros_like(deviation)
-    relative[nonzero] = deviation[nonzero] / np.abs(reference[nonzero])
-    max_relative = float(relative.max()) if nonzero.any() else 0.0
-    max_zero = float(deviation[~nonzero].max()) if (~nonzero).any() else 0.0
-    order = np.argsort(relative, axis=None)[::-1]
-    violators = []
-    for flat in order[:5]:
-        i, j = np.unravel_index(flat, relative.shape)
-        if relative[i, j] <= 0:
-            break
-        violators.append((str(result.register[i]), str(result.register[j]), float(relative[i, j])))
+    magnitude = np.abs(reference)
+    nonzero = magnitude > zero_threshold
+    relative = np.divide(deviation, magnitude, out=np.zeros_like(deviation), where=nonzero)
+    max_relative = float(relative.max())  # 0 where the reference is zero
+    max_zero = float(np.max(deviation, where=~nonzero, initial=0.0))
+    # The five largest relative deviations, NaN first; zeros are not violators.
+    top = np.argsort(relative, axis=None)[::-1][:5]
+    rows, cols = np.unravel_index(top, relative.shape)
+    register = result.register
+    violators = tuple(
+        (str(register[i]), str(register[j]), rel)
+        for i, j, rel in zip(rows.tolist(), cols.tolist(), relative.ravel()[top].tolist())
+        if not rel <= 0
+    )
     return ComparisonReport(
         passed=max_relative <= tolerance,
         tolerance=tolerance,
@@ -465,5 +468,5 @@ def compare(
         max_absolute=float(deviation.max()),
         max_zero_entry=max_zero,
         leakage=result.leakage_magnitude(),
-        violators=tuple(violators),
+        violators=violators,
     )

@@ -124,7 +124,8 @@ def single_pass(config: ProtocolConfig, stage: str = "") -> LinearInOutMap:
     mat[x_i[0], p_i[0]] = second_order
     mat[x_i[1:], p_i[:-1]] = second_order * np.diagonal(q, -1)
     mat[x_i[:-1], p_i[1:]] = second_order * np.diagonal(q, 1)
-    return LinearInOutMap(register, register, mat)
+    # The standard register lists each label once by construction.
+    return LinearInOutMap._owned(register, register, mat)
 
 
 def interpass_transform(order_max: int, stage: str = "") -> LinearInOutMap:

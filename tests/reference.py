@@ -12,7 +12,9 @@ time, with a Filon cumulative sum per source integral and a projector
 solved against every grid point.  The package gets commutators from the
 symplectic form and noise variances from S Sigma S^T; the complex
 commutator pairing and the hand-derived noise sums it once used are kept
-here as the references for both.
+here as the references for both.  The oracle comparison as first written,
+masked division and an entry-by-entry scan for the largest deviations,
+is the reference its vectorized report must reproduce bit for bit.
 """
 
 from typing import Sequence
@@ -22,7 +24,7 @@ import numpy as np
 from holomem import basis
 from holomem.algebra import CovarianceSpec, LinearInOutMap, ModeLabel, light, spin_p, spin_x
 from holomem.basis import simpson_weights
-from holomem.oracle import _carrier_segment_weights
+from holomem.oracle import ComparisonReport, _carrier_segment_weights
 
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
@@ -240,6 +242,32 @@ def label_lookup_embedded(inner: LinearInOutMap, register) -> LinearInOutMap:
             elif i == j:
                 mat[i, j] = 1.0
     return LinearInOutMap(register, register, mat)
+
+
+def scan_compare(result, analytic, tolerance, zero_threshold=1e-9) -> ComparisonReport:
+    """oracle.compare with masked division and the violators scanned one by one."""
+    reference = analytic.coefficients
+    deviation = np.abs(result.linear - reference)
+    nonzero = np.abs(reference) > zero_threshold
+    relative = np.zeros_like(deviation)
+    relative[nonzero] = deviation[nonzero] / np.abs(reference[nonzero])
+    max_relative = float(relative.max()) if nonzero.any() else 0.0
+    max_zero = float(deviation[~nonzero].max()) if (~nonzero).any() else 0.0
+    violators = []
+    for flat in np.argsort(relative, axis=None)[::-1][:5]:
+        i, j = np.unravel_index(flat, relative.shape)
+        if relative[i, j] <= 0:
+            break
+        violators.append((str(result.register[i]), str(result.register[j]), float(relative[i, j])))
+    return ComparisonReport(
+        passed=max_relative <= tolerance,
+        tolerance=tolerance,
+        max_relative=max_relative,
+        max_absolute=float(deviation.max()),
+        max_zero_entry=max_zero,
+        leakage=float(np.max(np.abs(result.conjugate))),
+        violators=tuple(violators),
+    )
 
 
 class PerOrderPass:

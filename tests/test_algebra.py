@@ -250,6 +250,18 @@ def test_symplectic_form_is_antisymmetric():
     assert_allclose(omega, -omega.T)
 
 
+def test_symplectic_form_is_cached_read_only():
+    register = cycle_register(3)
+    omega = symplectic_form(register)
+    assert symplectic_form(list(register)) is omega
+    assert not omega.flags.writeable
+    with pytest.raises(ValueError):
+        omega[0, 1] = 2.0
+    fresh = algebra._symplectic_form.__wrapped__(register)
+    assert fresh is not omega
+    np.testing.assert_array_equal(omega, fresh)
+
+
 def test_vacuum_covariance_of_identity():
     reg = standard_register(2)
     cov = propagate_covariance(identity_map(reg), CovarianceSpec.vacuum())

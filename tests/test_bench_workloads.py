@@ -7,9 +7,12 @@ tests/reference.py, so a drift in the benchmark's correctness gate fails
 here instead of passing wrong output.  bench/spans.py skips any traced
 name it cannot find in the package, so a renamed callable would silently
 drop its per-layer span; a test here checks that every name resolves.
+The benchmark's own argument lists run through holomem.cli.main here too,
+and their data files must pass its checks.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 from holomem.algebra import light
+from holomem.cli import main
 
 import reference
 
@@ -76,3 +80,13 @@ def test_every_traced_name_resolves(spans):
             # spans.py patches methods through the class __dict__
             found = getattr(owner, "__dict__", {}).get(name)
             assert callable(found), f"bench/spans.py traces holomem.{layer}.{attr}, which is missing"
+
+
+@pytest.mark.parametrize("name", ["oracle-verify", "pixel-fidelity"])
+def test_benchmark_argv_passes_its_check(workloads, tmp_path, capsys, name):
+    # the oracle argv still carries --t-steps 200, which the CLI accepts
+    workload = workloads.WORKLOADS[name]
+    argv = workload.argv(random.Random(1))
+    out_file = tmp_path / f"out{workload.data_suffix}"
+    assert main([*argv, "--out", str(out_file)]) == 0, capsys.readouterr().err
+    assert workload.check(argv, out_file.read_bytes()).problems == ()

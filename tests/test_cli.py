@@ -9,8 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from holomem.cli import DEFAULTS, build_parser, main
+from holomem.cli import DEFAULTS, _json_text, _parse_args, build_parser, main
 
 
 def run(capsys, *argv):
@@ -578,3 +579,149 @@ def test_failed_write_leaves_no_stale_tail(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     assert code == 1 and err.startswith("error:") and "No space left" in err
     assert out_file.read_bytes() == b""
+
+
+# --- the JSON writer ------------------------------------------------------
+
+def dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63, max_value=10**400).map(lambda n: random_sign(n))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+
+
+def random_sign(n):
+    return -n if n % 2 else n
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {},
+        [],
+        {"b": {}, "a": [[], {}, [[]]], "": ()},
+        ["é ☃ \U0001f600", 'say "hi"', "back\\slash", "line\nbreak\ttab\x00\x7f"],
+        [10**300, -(10**300), 2**64, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7,
+         0.1, 123456789.0, 1.7976931348623157e308],
+        [True, False, None, 1, 0, -1],
+        {"z": 1, "a": {"y": [1.5, {"k": None}], "b": "s"}, "m": [True]},
+    ],
+)
+def test_json_writer_edge_cases(value):
+    assert _json_text(value) == dumps(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_rejects_non_finite_floats(bad):
+    for value in (bad, [1.0, bad], {"a": {"b": [bad]}}):
+        with pytest.raises(ValueError):
+            dumps(value)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_text(value)
+
+
+def test_json_writer_rejects_what_json_cannot_encode():
+    for value in (np.bool_(True), np.int64(3), {1, 2}, object()):
+        with pytest.raises(TypeError):
+            dumps(value)
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def test_written_json_is_canonical(tmp_path, capsys):
+    # every JSON file the commands write reads back to the same bytes
+    runs = {
+        "oracle.json": ["oracle-verify", "--grating-periods", "20", "--z-per-period", "20",
+                        "--tolerance", "0.05"],
+        "maps.json": ["maps", "--kappa", "0.7"],
+        "fidelity.csv": ["fidelity", "--pixels", "3", "--squeeze-r", "0.5"],
+        "sweep.csv": ["sweep-kappa", "--kappa-points", "5"],
+        "squeeze.csv": ["squeeze-sweep", "--r-points", "3"],
+    }
+    for name, argv in runs.items():
+        out_file = tmp_path / name
+        code, _, err = run(capsys, *argv, "--out", str(out_file))
+        assert code == 0, err
+        written = [tmp_path / f"{name}.meta.json"]
+        if name.endswith(".json"):
+            written.append(out_file)
+        for path in written:
+            data = path.read_text()
+            assert data == json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n", path
+
+
+# --- argument routing -----------------------------------------------------
+
+@pytest.mark.parametrize(
+    "argv", [[], ["bogus"], ["oracle-verify", "--bogus"], ["--kappa", "1", "maps"], ["-x"]]
+)
+def test_argument_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: holomem" in capsys.readouterr().err
+
+
+def test_unknown_flag_is_reported_by_the_command(capsys):
+    with pytest.raises(SystemExit):
+        main(["oracle-verify", "--bogus"])
+    err = capsys.readouterr().err
+    assert err.startswith("usage: holomem oracle-verify")
+    assert "holomem oracle-verify: error: unrecognized arguments: --bogus" in err
+
+
+@pytest.mark.parametrize(
+    "argv, usage",
+    [
+        (["--help"], "usage: holomem [-h]"),
+        (["-h"], "usage: holomem [-h]"),
+        (["oracle-verify", "--help"], "usage: holomem oracle-verify"),
+    ],
+)
+def test_help_exits_0_with_its_usage(capsys, argv, usage):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(usage)
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["holomem", "fidelity", "--pixels", "3"])
+    assert main(None) == 0
+    assert read_csv(capsys.readouterr().out)[0]["pixels"] == "3"
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_command_subparser_parses_as_the_top_level_parser(command):
+    flags = {
+        "maps": ["--kappa", "0.7", "--order-max", "6"],
+        "fidelity": ["--pixels", "10", "--squeeze-r", "0.5", "--out", "f.csv"],
+        "sweep-kappa": ["--kappa-min", "0", "--kappa-max", "1.4", "--kappa-points", "141"],
+        "squeeze-sweep": ["--r-min", "0", "--r-max", "10", "--r-points", "101", "--config", "c"],
+        "oracle-verify": ["--grating-periods", "100", "--z-per-period", "40", "--t-steps", "200",
+                          "--tolerance", "0.01", "--kappa", "1.05"],
+    }[command]
+    for argv in ([command], [command, *flags]):
+        assert vars(_parse_args(argv)) == vars(build_parser().parse_args(argv))

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from holomem.algebra import light, spin_p, spin_x
+from holomem import algebra
+from holomem.algebra import light, realify, spin_p, spin_x
 from holomem.oracle import (
     _Z_CHUNK,
     _grid_blocks,
@@ -150,6 +151,72 @@ def test_compare_of_analytic_with_itself_is_zero():
     assert report.passed
     assert report.max_relative == 0.0
     assert report.max_absolute == 0.0
+
+
+def perturbed_result(grid, scale):
+    """An OracleResult whose linear block is the analytic map times `scale`, entrywise."""
+    ref = analytic(grid).coefficients
+    return OracleResult(
+        register=grid.register(),
+        linear=ref * scale,
+        conjugate=np.full_like(ref, 1e-3),
+        grid=grid,
+    )
+
+
+def fixed_results():
+    grid = small_grid()
+    dim = len(grid.register())
+    few = np.ones((dim, dim))
+    few[0, 0], few[3, 3], few[6, 6] = 1.5, 1.25, 1.125  # three positive deviations
+    tied = np.ones((dim, dim))
+    np.fill_diagonal(tied, 1.5)  # eleven deviations of exactly 0.5
+    nan = tied.copy()
+    nan[2, 2] = np.nan  # first among the violators, then four of the ties
+    return {
+        "oracle": extract_map(grid, refinement_levels=1),
+        "three positive": perturbed_result(grid, few),
+        "tied": perturbed_result(grid, tied),
+        "nan": perturbed_result(grid, nan),
+        "exact": perturbed_result(grid, np.ones((dim, dim))),
+    }
+
+
+@pytest.mark.parametrize("name", ["oracle", "three positive", "tied", "nan", "exact"])
+def test_compare_is_bit_identical_to_the_scan(name):
+    result = fixed_results()[name]
+    ref = analytic(result.grid)
+    report = compare(result, ref, tolerance=0.05)
+    # repr spells every float exactly, -0.0 and NaN included
+    assert repr(report) == repr(reference.scan_compare(result, ref, 0.05))
+    positive = {"oracle": 5, "three positive": 3, "tied": 5, "nan": 5, "exact": 0}[name]
+    assert len(report.violators) == positive
+
+
+def test_light_commutator_is_bit_identical_to_a_fresh_symplectic_product():
+    for result in fixed_results().values():
+        s = realify(result.linear, result.conjugate)
+        omega = algebra._symplectic_form.__wrapped__(result.register)
+        expected = float((s @ omega @ s.T)[0, 1])
+        assert repr(result.light_commutator()) == repr(expected)
+
+
+def test_refined_grid_skips_the_checks_and_keeps_the_physics(monkeypatch):
+    grid = small_grid(z_points=401, transverse_phase_shift=0.5)
+    checked = replace(grid, z_points=(grid.z_points - 1) * 4 + 1)
+
+    def fail(self):
+        raise AssertionError("__post_init__ reran")
+
+    monkeypatch.setattr(OracleGrid, "__post_init__", fail)
+    fine = grid.refined(4)
+    assert fine == checked and hash(fine) == hash(checked)
+    assert fine.z_points == 1601 and fine.periods == grid.periods
+    monkeypatch.undo()
+    # a factor that does not refine is still checked
+    with pytest.raises(ValueError, match="coarse"):
+        grid.refined(0)
+    assert grid.refined(1) == grid
 
 
 def test_compare_rejects_register_mismatch():

@@ -52,6 +52,18 @@ def test_single_pass_at_zero_coupling_is_identity():
     assert_allclose(m.coefficients, np.eye(len(m.input_register)), atol=0)
 
 
+def test_single_pass_owns_a_fresh_read_only_matrix_over_the_cached_register():
+    config = ProtocolConfig(kappa=0.7, order_max=3)
+    m = single_pass(config, "W")
+    assert m.input_register is m.output_register is standard_register(3, "W")
+    assert len(set(m.input_register)) == len(m.input_register)
+    assert not m.coefficients.flags.writeable
+    assert m.coefficients.dtype == complex and m.coefficients.shape == (9, 9)
+    again = single_pass(config, "W")
+    assert again.coefficients is not m.coefficients
+    np.testing.assert_array_equal(again.coefficients, m.coefficients)
+
+
 def test_single_pass_displayed_rows():
     k = 1.0
     m = single_pass(ProtocolConfig(kappa=k))
