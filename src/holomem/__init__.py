@@ -13,7 +13,6 @@ from .algebra import (
     LinearInOutMap,
     ModeLabel,
     compose,
-    identity_map,
     light,
     propagate_covariance,
     spin_p,
@@ -73,7 +72,6 @@ __all__ = [
     "extract_noise",
     "fidelity_from_covariance",
     "full_cycle",
-    "identity_map",
     "interpass_transform",
     "legendre_poly",
     "light",

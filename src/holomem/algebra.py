@@ -193,11 +193,6 @@ class LinearInOutMap:
         return LinearInOutMap._owned(register, register, mat)
 
 
-def identity_map(register: Sequence[ModeLabel]) -> LinearInOutMap:
-    register = tuple(register)
-    return LinearInOutMap(register, register, np.eye(len(register), dtype=complex))
-
-
 @lru_cache(maxsize=256)
 def _embed_plan(
     register: tuple[ModeLabel, ...], inner: tuple[ModeLabel, ...]
@@ -271,15 +266,6 @@ def compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearInOutMap:
 # ---------------------------------------------------------------------------
 
 
-def quadrature_register(register: Sequence[ModeLabel]) -> tuple[tuple[ModeLabel, str], ...]:
-    """(label, "re"/"im") pairs, two Hermitian quadratures per complex mode."""
-    out = []
-    for lab in register:
-        out.append((lab, "re"))
-        out.append((lab, "im"))
-    return tuple(out)
-
-
 def realify(linear: np.ndarray, conjugate: np.ndarray | None = None) -> np.ndarray:
     """Real quadrature matrix of the map m_out = linear m + conjugate conj(m).
 
@@ -317,8 +303,7 @@ def symplectic_form(register: Sequence[ModeLabel]) -> np.ndarray:
 
 @lru_cache(maxsize=16)  # 0.5 MB each for an order-60 cycle register
 def _symplectic_form(register: tuple[ModeLabel, ...]) -> np.ndarray:
-    quads = quadrature_register(register)
-    omega = np.zeros((len(quads), len(quads)))
+    omega = np.zeros((2 * len(register), 2 * len(register)))
     for i, lab in enumerate(register):
         if lab.kind == "a":
             omega[2 * i, 2 * i + 1] = 1.0

@@ -7,10 +7,11 @@ Subcommands
     squeeze-sweep fidelity versus initial spin squeezing
     oracle-verify integrate the pass equations and compare with the analytic map
 
-Output is deterministic: identical parameters produce byte-identical CSV or
-JSON (run metadata goes to a separate ``<out>.meta.json`` sidecar, never
-into the data file).  Complex values are serialized as re/im pairs.  Exit
-codes: 0 success, 1 invalid parameters, 2 oracle tolerance breach.
+Output is deterministic: at one BLAS thread count, identical parameters
+produce byte-identical CSV or JSON (run metadata goes to a separate
+``<out>.meta.json`` sidecar, never into the data file).  Complex values are
+serialized as re/im pairs.  Exit codes: 0 success, 1 invalid parameters,
+2 oracle tolerance breach.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .fidelity import (
     squeezed_spec,
     squeezing_sweep,
 )
-from .oracle import OracleGrid, compare, extract_map
+from .oracle import DEFAULT_POINTS_PER_PERIOD, OracleGrid, compare, extract_map, z_points
 from .protocol import (
     ProtocolConfig,
     double_pass_write,
@@ -56,27 +57,45 @@ MANY_LAYER_MIN_PERIODS = 10
 
 DEFAULTS: dict[str, dict] = {
     "maps": {"kappa": 1.0, "order_max": 4},
-    "fidelity": {"kappa": 1.0, "order_max": 4, "pixels": 1, "squeeze_r": 0.0},
+    "fidelity": {"kappa": 1.0, "pixels": 1, "squeeze_r": 0.0, "order_max": 4},
     "sweep-kappa": {
-        "order_max": 4,
         "kappa_min": 0.0,
         "kappa_max": 1.4,
         "kappa_points": 141,
+        "order_max": 4,
     },
     "squeeze-sweep": {
-        "order_max": 4,
         "pixels": 1,
         "r_min": 0.0,
         "r_max": 10.0,
         "r_points": 101,
+        "order_max": 4,
     },
     "oracle-verify": {
         "kappa": 1.0,
-        "order_max": 4,
         "grating_periods": 100.0,
-        "z_per_period": 40,
+        "z_per_period": DEFAULT_POINTS_PER_PERIOD,
         "tolerance": 0.01,
+        "order_max": 4,
     },
+}
+
+_COMMAND_HELP = {
+    "maps": "protocol coefficient matrices",
+    "fidelity": "full-cycle fidelity report (kappa = 1 required)",
+    "sweep-kappa": "signal recovery versus coupling",
+    "squeeze-sweep": "fidelity versus spin squeezing",
+    "oracle-verify": "PDE oracle versus analytic single pass",
+}
+
+_PARAMETER_HELP = {
+    "kappa": "coupling constant",
+    "order_max": "Legendre truncation order",
+    "pixels": "number of pixellized modes",
+    "squeeze_r": "spin squeezing parameter",
+    "grating_periods": "2 pi layers in the cell",
+    "z_per_period": "z points per grating period",
+    "tolerance": "relative tolerance",
 }
 
 
@@ -420,18 +439,15 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
             "coefficients are unreliable there",
             file=sys.stderr,
         )
-    grating_phase = 2 * np.pi * periods
-    intervals = int(np.ceil(z_per_period * periods))
-    intervals += intervals % 2
     grid = OracleGrid(
-        grating_phase=grating_phase,
+        grating_phase=2 * np.pi * periods,
         kappa=float(params["kappa"]),
         order_max=int(params["order_max"]),
-        z_points=intervals + 1,
+        z_points=z_points(periods, z_per_period),
     )
-    config = ProtocolConfig(
-        kappa=grid.kappa, order_max=grid.order_max, grating_phase=grating_phase
-    )
+    # No analytic map reads the grating phase, and the note above is the
+    # run's one few-layer diagnostic.
+    config = ProtocolConfig(kappa=grid.kappa, order_max=grid.order_max)
     # An overflowing coupling is reported once, by _require_finite.
     with np.errstate(all="ignore"):
         analytic = single_pass(config)
@@ -482,51 +498,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache  # parse_args leaves a parser unchanged, so one serves every call
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's subparser by name."""
+    """The top-level parser, and each command's subparser by name.
+
+    Each DEFAULTS key is a flag of its default's type; an unset flag is
+    None, so _merge_params can tell it from an explicit value.
+    """
     parser = argparse.ArgumentParser(
         prog="holomem",
         description="double-pass volume-hologram memory: maps, fidelity, oracle checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--order-max", type=int, default=None, help="Legendre truncation order")
+    for command, defaults in DEFAULTS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for key, default in defaults.items():
+            flag = "--" + key.replace("_", "-")
+            p.add_argument(flag, type=type(default), default=None, help=_PARAMETER_HELP.get(key))
         p.add_argument("--out", type=str, default=None, help="output file (CSV or JSON)")
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-
-    p = sub.add_parser("maps", help="protocol coefficient matrices")
-    p.add_argument("--kappa", type=float, default=None, help="coupling constant")
-    add_common(p)
-
-    p = sub.add_parser("fidelity", help="full-cycle fidelity report")
-    p.add_argument("--kappa", type=float, default=None, help="coupling constant (1 required)")
-    p.add_argument("--pixels", type=int, default=None, help="number of pixellized modes")
-    p.add_argument("--squeeze-r", type=float, default=None, help="spin squeezing parameter")
-    add_common(p)
-
-    p = sub.add_parser("sweep-kappa", help="signal recovery versus coupling")
-    p.add_argument("--kappa-min", type=float, default=None)
-    p.add_argument("--kappa-max", type=float, default=None)
-    p.add_argument("--kappa-points", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("squeeze-sweep", help="fidelity versus spin squeezing")
-    p.add_argument("--pixels", type=int, default=None)
-    p.add_argument("--r-min", type=float, default=None)
-    p.add_argument("--r-max", type=float, default=None)
-    p.add_argument("--r-points", type=int, default=None)
-    add_common(p)
-
-    p = sub.add_parser("oracle-verify", help="PDE oracle versus analytic single pass")
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--grating-periods", type=float, default=None, help="2 pi layers in the cell")
-    p.add_argument("--z-per-period", type=int, default=None, help="z points per grating period")
     # Ignored, since the pass is exact in time, but still accepted: the
     # benchmark's oracle-verify workload passes it (bench/workloads.py).
-    p.add_argument("--t-steps", type=int, default=None, help=argparse.SUPPRESS)
-    p.add_argument("--tolerance", type=float, default=None, help="relative tolerance")
-    add_common(p)
-
+    sub.choices["oracle-verify"].add_argument(
+        "--t-steps", type=int, default=None, help=argparse.SUPPRESS
+    )
     return parser, sub.choices
 
 

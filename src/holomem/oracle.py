@@ -63,6 +63,17 @@ DEFAULT_POINTS_PER_PERIOD = 40
 # z points per chunk of the pass-map sums: the sweep's transient memory is
 # O(order_max * _Z_CHUNK), however fine the grid.
 _Z_CHUNK = 1024
+# Analytic coefficients at or below this count as zero in compare.
+ZERO_THRESHOLD = 1e-9
+
+
+def z_points(periods: float, per_period: int) -> int:
+    """Points of a z grid at per_period per grating period, with an even interval count."""
+    span = per_period * periods
+    if not math.isfinite(span):
+        raise ValueError(f"z grid too large: {per_period} points per period, {periods:g} periods")
+    intervals = math.ceil(span)
+    return intervals + intervals % 2 + 1
 
 
 @dataclass(frozen=True)
@@ -96,9 +107,7 @@ class OracleGrid:
         if self.effective_phase <= 0:
             raise ValueError("effective grating phase must be positive")
         if self.z_points is None:
-            intervals = int(np.ceil(DEFAULT_POINTS_PER_PERIOD * self.periods))
-            intervals += intervals % 2  # even interval count for Simpson
-            object.__setattr__(self, "z_points", intervals + 1)
+            object.__setattr__(self, "z_points", z_points(self.periods, DEFAULT_POINTS_PER_PERIOD))
         per_period = (self.z_points - 1) / self.periods
         if per_period < MIN_POINTS_PER_PERIOD * (1 - 1e-9):
             raise ValueError(
@@ -430,25 +439,20 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def compare(
-    result: OracleResult,
-    analytic: LinearInOutMap,
-    tolerance: float,
-    zero_threshold: float = 1e-9,
-) -> ComparisonReport:
+def compare(result: OracleResult, analytic: LinearInOutMap, tolerance: float) -> ComparisonReport:
     """Check the extracted C-linear coefficients against an analytic map.
 
     The pass/fail verdict uses the relative deviation on entries where the
-    analytic coefficient is nonzero; deviations on analytically-zero
-    entries and the conjugate leakage block are reported for diagnosis but
-    do not gate the verdict.
+    analytic coefficient is nonzero (above ZERO_THRESHOLD); deviations on
+    analytically-zero entries and the conjugate leakage block are reported
+    for diagnosis but do not gate the verdict.
     """
     if analytic.input_register != result.register or analytic.output_register != result.register:
         raise ValueError("oracle and analytic registers do not match")
     reference = analytic.coefficients
     deviation = np.abs(result.linear - reference)
     magnitude = np.abs(reference)
-    nonzero = magnitude > zero_threshold
+    nonzero = magnitude > ZERO_THRESHOLD
     relative = np.divide(deviation, magnitude, out=np.zeros_like(deviation), where=nonzero)
     max_relative = float(relative.max())  # 0 where the reference is zero
     max_zero = float(np.max(deviation, where=~nonzero, initial=0.0))

@@ -70,7 +70,7 @@ class ProtocolConfig:
                 f"grating phase {self.grating_phase:.3g} < {MANY_LAYER_PHASE:.3g}: "
                 "the cell holds few interference layers and the analytic maps "
                 "are not reliable",
-                stacklevel=2,
+                stacklevel=3,  # the caller of __init__
             )
 
     def resonant_depth(self, emission_probability: float) -> float:

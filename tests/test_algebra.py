@@ -14,7 +14,6 @@ from holomem.algebra import (
     LinearInOutMap,
     ModeLabel,
     compose,
-    identity_map,
     light,
     propagate_covariance,
     spin_p,
@@ -31,6 +30,11 @@ from holomem.protocol import (
 )
 
 import reference
+
+
+def identity_map(register):
+    register = tuple(register)
+    return LinearInOutMap(register, register, np.eye(len(register)))
 
 
 def test_mode_label_validation():

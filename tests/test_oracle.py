@@ -24,6 +24,7 @@ from holomem.oracle import (
     compare,
     extract_map,
     numerical_full_cycle,
+    z_points,
 )
 from holomem.protocol import (
     ProtocolConfig,
@@ -77,6 +78,9 @@ def test_default_grid_resolution():
     grid = OracleGrid(grating_phase=200 * np.pi)
     assert grid.z_points == 4001  # 40 points per period, 100 periods
     assert grid.periods == pytest.approx(100.0)
+    # the interval count rounds up to even: 40 * 2.51 = 100.4 -> 102
+    assert OracleGrid(grating_phase=2 * np.pi * 2.51).z_points == 103
+    assert z_points(2.51, 40) == 103 and z_points(2.5, 40) == 101
 
 
 def test_transverse_shift_modifies_effective_phase():

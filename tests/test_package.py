@@ -14,7 +14,8 @@ def test_every_public_name_resolves():
 
 def test_removed_names_stay_removed():
     # the oracle works on the unit cell: no basis wrapper carrying a cell
-    # length, and passes and stages go through holomem.protocol
-    for name in ("LegendreBasis", "integrate_single_pass", "numerical_stage_map"):
+    # length, and passes and stages go through holomem.protocol; an identity
+    # map is LinearInOutMap over np.eye
+    for name in ("LegendreBasis", "integrate_single_pass", "numerical_stage_map", "identity_map"):
         assert name not in holomem.__all__
         assert not hasattr(holomem, name)

@@ -30,8 +30,10 @@ def test_config_validation():
         ProtocolConfig(kappa=np.nan)
     with pytest.raises(ValueError, match="grating_phase must be finite"):
         ProtocolConfig(grating_phase=np.inf)
-    with pytest.warns(UserWarning, match="interference layers"):
+    with pytest.warns(UserWarning, match="interference layers") as record:
         ProtocolConfig(grating_phase=8 * np.pi)
+    # the warning names the line that built the config, not the dataclass __init__
+    assert [w.filename for w in record] == [__file__]
 
 
 def test_resonant_depth_diagnostic():
