@@ -4,8 +4,8 @@ A register is an ordered tuple of ModeLabel, one entry per complex mode
 amplitude: the signal light of a given stage, or a collective-spin
 amplitude x_n / p_n of Legendre order n.  A LinearInOutMap stores the
 complex coefficient matrix that expresses each output amplitude as a
-linear combination of input amplitudes; maps compose by matrix product
-with register bookkeeping.
+linear combination of input amplitudes; maps over one register compose by
+matrix product, and a map over fewer modes is embedded first.
 
 Conventions (used consistently across the package):
 
@@ -145,9 +145,9 @@ class LinearInOutMap:
     ) -> "LinearInOutMap":
         """Map over registers already checked, taking over a fresh complex matrix.
 
-        For products built inside this module: the registers come from cached
-        plans that checked them, and the matrix has no other owner, so it is
-        frozen in place instead of copied.
+        For products built inside this module: the registers come from maps
+        that checked them, and the matrix has no other owner, so it is frozen
+        in place instead of copied.
         """
         inout_map = object.__new__(cls)
         object.__setattr__(inout_map, "input_register", input_register)
@@ -209,56 +209,24 @@ def _embed_plan(
     return block
 
 
-class _ComposePlan(NamedTuple):
-    """Bookkeeping of compose for one (produced, consumed) register pair.
-
-    cols[k] is the position in `produced` of consumed[k]; `passthrough`
-    lists, in order, the produced modes nobody consumes, and `padding`
-    holds their rows of the identity over `produced`.
-    """
-
-    cols: np.ndarray
-    padding: np.ndarray
-    passthrough: tuple[ModeLabel, ...]
-
-
-@lru_cache(maxsize=256)
-def _compose_plan(produced: tuple[ModeLabel, ...], consumed: tuple[ModeLabel, ...]) -> _ComposePlan:
-    position = {lab: i for i, lab in enumerate(produced)}
-    try:
-        cols = np.array([position[lab] for lab in consumed], dtype=np.intp)
-    except KeyError as exc:
-        raise ValueError(f"register mismatch: {exc.args[0]} not produced by first map") from None
-    kept = np.ones(len(produced), dtype=bool)
-    kept[cols] = False
-    padding = np.eye(len(produced))[kept]
-    cols.flags.writeable = padding.flags.writeable = False
-    return _ComposePlan(cols, padding, tuple(lab for lab, k in zip(produced, kept) if k))
-
-
-@lru_cache(maxsize=256)
-def _joined_register(
-    head: tuple[ModeLabel, ...], tail: tuple[ModeLabel, ...]
-) -> tuple[ModeLabel, ...]:
-    """head + tail, checked for a label listed twice (cached)."""
-    return _check_register(head + tail)
-
-
 def compose(first: LinearInOutMap, second: LinearInOutMap) -> LinearInOutMap:
     """Map applying `first`, then `second` (coefficients second @ first).
 
-    The input register of `second` must consist of labels produced by
-    `first`; any output of `first` not consumed by `second` is padded
-    through unchanged and appended to the composite output register.
+    `second` must read exactly the register `first` writes, in its order;
+    a map over fewer modes is lifted onto that register with `embedded`.
     """
-    produced = first.output_register
-    plan = _compose_plan(produced, second.input_register)
-    n_second = len(second.output_register)
-    full = np.zeros((n_second + len(plan.padding), len(produced)), dtype=complex)
-    full[:n_second, plan.cols] = second.coefficients
-    full[n_second:] = plan.padding
-    out_register = _joined_register(second.output_register, plan.passthrough)
-    return LinearInOutMap._owned(first.input_register, out_register, full @ first.coefficients)
+    produced, consumed = first.output_register, second.input_register
+    if consumed is not produced and consumed != produced:
+        missing = next((lab for lab in consumed if lab not in produced), None)
+        if missing is not None:
+            raise ValueError(f"register mismatch: {missing} not produced by first map")
+        raise ValueError(
+            "register mismatch: second map does not read first's output register "
+            "in order (lift it with embedded)"
+        )
+    return LinearInOutMap._owned(
+        first.input_register, second.output_register, second.coefficients @ first.coefficients
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +367,9 @@ class CovarianceSpec:
             raise ValueError(f"squeezing parameter r must be finite, got {r}")
         if r < 0:
             raise ValueError("squeezing parameter r must be nonnegative")
-        sq = VACUUM_VARIANCE * np.exp(-2 * r)
-        anti = VACUUM_VARIANCE * np.exp(2 * r)
+        with np.errstate(over="ignore"):  # past r ~ 354.9 the antisqueezing is inf
+            sq = VACUUM_VARIANCE * np.exp(-2 * r)
+            anti = VACUUM_VARIANCE * np.exp(2 * r)
         variances: dict[ModeLabel, tuple[float, float]] = {}
         for lab in labels:
             variances[lab] = (sq, sq)

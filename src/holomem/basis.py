@@ -189,11 +189,4 @@ def project_onto_basis(samples, order_max: int) -> np.ndarray:
         raise ValueError("samples must be a 1-D array over the z grid")
     check_resolution(order_max, samples.size)
     thetas, weights, gram_inverse = sampled_basis(order_max, samples.size)
-    weighted = weights * samples
-    if np.iscomplexobj(weighted):
-        # Two real products: thetas @ weighted would cast the table to
-        # complex on every call.
-        sums = thetas @ weighted.real + 1j * (thetas @ weighted.imag)
-    else:
-        sums = thetas @ weighted
-    return gram_inverse @ sums
+    return gram_inverse @ (thetas @ (weights * samples))

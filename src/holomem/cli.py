@@ -471,20 +471,14 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
     )
     if out is not None:
         payload = {
-            "passed": report.passed,
-            "tolerance": report.tolerance,
-            "max_relative": report.max_relative,
-            "max_absolute": report.max_absolute,
-            "max_zero_entry": report.max_zero_entry,
-            "leakage": report.leakage,
-            "violators": [list(v) for v in report.violators],
+            **vars(report),
             "grid": {
                 "grating_phase": grid.grating_phase,
                 "z_points": grid.z_points,
                 "kappa": grid.kappa,
                 "order_max": grid.order_max,
             },
-            "refinement_ratios": list(result.refinement_ratios),
+            "refinement_ratios": result.refinement_ratios,
             "reported_tolerance": result.reported_tolerance,
             "light_commutator": light_commutator,
         }

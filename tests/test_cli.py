@@ -167,6 +167,22 @@ def test_squeeze_sweep_monotone(capsys):
     assert f_av[0] == pytest.approx(60 / 71, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["fidelity", "--squeeze-r", "400"], 1),
+        (["squeeze-sweep", "--r-min", "400", "--r-max", "401", "--r-points", "2"], 2),
+    ],
+)
+def test_squeezing_past_the_exp_overflow_is_silent(capsys, argv, rows):
+    # e^{2r} overflows to inf past r ~ 354.9: the ideal antisqueezed partner
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert [float(row["f_av"]) for row in read_csv(out)] == [1.0] * rows
+
+
 def test_oracle_verify_small_grid_passes(tmp_path, capsys):
     out_file = tmp_path / "oracle.json"
     code, out, _ = run(

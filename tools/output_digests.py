@@ -1,0 +1,67 @@
+"""SHA-256 of every output of ten reference holomem CLI runs.
+
+Each invocation runs in a fresh `python -m holomem.cli` process, from the
+`src` directory of the checkout given as the only argument (by default the
+one holding this script), with `--out` set.  One line is printed per
+output: the digest, the invocation's number, its exit code, and which
+output it is (data file, `.meta.json` sidecar, stdout, stderr).  Output
+is byte-identical only at a fixed BLAS thread count, so the thread
+settings are printed first.  Two checkouts give the same outputs when
+their printed lines are the same:
+
+    python tools/output_digests.py > after.txt
+    python tools/output_digests.py ../parent > before.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# The five README invocations, then the larger cases: order 60, a sweep at
+# order 30, and oracle grids at other orders, couplings and periods.
+INVOCATIONS = (
+    ("maps", "--kappa", "1.0"),
+    ("fidelity", "--pixels", "10", "--squeeze-r", "0.5"),
+    ("sweep-kappa", "--kappa-min", "0", "--kappa-max", "1.4", "--kappa-points", "141"),
+    ("squeeze-sweep", "--r-min", "0", "--r-max", "10", "--r-points", "101"),
+    ("oracle-verify", "--grating-periods", "100", "--z-per-period", "40", "--tolerance", "0.01"),
+    ("maps", "--kappa", "0.7", "--order-max", "60"),
+    ("sweep-kappa", "--order-max", "30"),
+    ("oracle-verify", "--order-max", "20", "--grating-periods", "300"),
+    ("oracle-verify", "--kappa", "1.13"),
+    ("oracle-verify", "--order-max", "60", "--grating-periods", "1000"),
+)
+THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def main(argv: list[str]) -> int:
+    checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    for name in THREAD_SETTINGS:
+        print(f"{name}={os.environ.get(name, '(unset)')}")
+    with tempfile.TemporaryDirectory() as work:
+        for number, invocation in enumerate(INVOCATIONS, 1):
+            # A relative --out in a fresh directory keeps paths out of the output.
+            out = f"run{number}.out"
+            proc = subprocess.run(
+                [sys.executable, "-m", "holomem.cli", *invocation, "--out", out],
+                cwd=work, env=env, capture_output=True,
+            )
+            print(f"# {number}: holomem {' '.join(invocation)} -> exit {proc.returncode}")
+            outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
+            for name in (out, f"{out}.meta.json"):
+                path = Path(work, name)
+                outputs[name] = path.read_bytes() if path.exists() else b"(missing)"
+            for name, data in outputs.items():
+                print(f"{hashlib.sha256(data).hexdigest()}  {number} {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
