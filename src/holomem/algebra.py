@@ -171,16 +171,10 @@ class LinearInOutMap:
         return {lab: complex(c) for lab, c in zip(self.input_register, r)}
 
     def relabeled(
-        self,
-        input_register: Sequence[ModeLabel] | None = None,
-        output_register: Sequence[ModeLabel] | None = None,
+        self, input_register: Sequence[ModeLabel], output_register: Sequence[ModeLabel]
     ) -> "LinearInOutMap":
         """Same coefficients over renamed registers (sizes must match)."""
-        return LinearInOutMap(
-            input_register=self.input_register if input_register is None else tuple(input_register),
-            output_register=self.output_register if output_register is None else tuple(output_register),
-            coefficients=self.coefficients,
-        )
+        return LinearInOutMap(input_register, output_register, self.coefficients)
 
     def embedded(self, register: Sequence[ModeLabel]) -> "LinearInOutMap":
         """Extend an endomap to a larger register, acting as identity elsewhere."""
@@ -311,24 +305,18 @@ def light_commutator_from_quadratures(
 class CovarianceSpec:
     """Independent per-mode quadrature variances for the register inputs.
 
-    Each complex mode carries a (re, im) variance pair; unlisted modes fall
-    back to `default` (vacuum 1/2) unless default is None, in which case
-    every mode the propagation touches must be listed explicitly.  A zero
-    variance is admitted as the ideal-squeezing limit, in which case the
-    uncertainty-product check on the x/p pair is waived (the partner is
-    implicitly unbounded; an infinite variance, the antisqueezed partner
-    of an ideal squeeze, is admitted for the same reason).
+    Each complex mode carries a (re, im) variance pair; a mode not listed
+    is in vacuum (1/2 per quadrature).  A zero variance is admitted as the
+    ideal-squeezing limit, in which case the uncertainty-product check on
+    the x/p pair is waived (the partner is implicitly unbounded; an
+    infinite variance, the antisqueezed partner of an ideal squeeze, is
+    admitted for the same reason).
     """
 
     variances: Mapping[ModeLabel, tuple[float, float]] = field(default_factory=dict)
-    default: float | None = VACUUM_VARIANCE
 
     def __post_init__(self):
         object.__setattr__(self, "variances", dict(self.variances))
-        if self.default is not None and not math.isfinite(self.default):
-            raise ValueError(f"default variance must be finite, got {self.default}")
-        if self.default is not None and self.default <= 0:
-            raise ValueError("default variance must be positive")
         for lab, (vr, vi) in self.variances.items():
             if math.isnan(vr) or math.isnan(vi):
                 raise ValueError(f"NaN variance assigned to {lab}")
@@ -345,7 +333,7 @@ class CovarianceSpec:
                 continue
             pr, pi = self.variance_pair(partner)
             for v, pv in ((vr, pr), (vi, pi)):
-                if pv is None or v == 0 or pv == 0:
+                if v == 0 or pv == 0:
                     continue
                 if v * pv < 0.25 * (1 - 1e-12):
                     raise ValueError(
@@ -378,18 +366,14 @@ class CovarianceSpec:
                 variances[partner] = (anti, anti)
         return cls(variances=variances)
 
-    def variance_pair(self, label: ModeLabel):
-        """(re, im) variances of a mode; (None, None) if unassigned and no default."""
-        if label in self.variances:
-            return self.variances[label]
-        if self.default is not None:
-            return (self.default, self.default)
-        return (None, None)
+    def variance_pair(self, label: ModeLabel) -> tuple[float, float]:
+        """(re, im) variances of a mode; vacuum if it is not listed."""
+        return self.variances.get(label, (VACUUM_VARIANCE, VACUUM_VARIANCE))
 
 
 @dataclass(frozen=True)
 class QuadratureCovariance:
-    """Symmetric covariance over selected output quadratures."""
+    """Symmetric covariance over the output quadratures."""
 
     quadratures: tuple[tuple[ModeLabel, str], ...]
     matrix: np.ndarray
@@ -399,38 +383,19 @@ class QuadratureCovariance:
         return float(self.matrix[i, i])
 
 
-def propagate_covariance(
-    inout_map: LinearInOutMap,
-    spec: CovarianceSpec,
-    outputs: Sequence[ModeLabel] | None = None,
-) -> QuadratureCovariance:
-    """Covariance of output quadratures under the map, inputs independent.
+def propagate_covariance(inout_map: LinearInOutMap, spec: CovarianceSpec) -> QuadratureCovariance:
+    """Covariance of every output quadrature under the map, inputs independent.
 
     The complex map is lifted to the real-quadrature picture and the input
     covariance (diagonal, one variance per quadrature) is transported as
-    S Sigma S^T.  Only the rows/columns of the requested output labels are
-    returned (both quadratures of each).  An infinite input variance makes
-    infinite every entry its quadrature reaches; a zero coefficient
-    contributes nothing, even against an infinite variance.
+    S Sigma S^T, over both quadratures of each output mode.  An infinite
+    input variance makes infinite every entry its quadrature reaches; a
+    zero coefficient contributes nothing, even against an infinite variance.
     """
-    if outputs is None:
-        outputs = inout_map.output_register
     s = realify(inout_map.coefficients)
-    out_idx = []
-    for lab in outputs:
-        i = inout_map.out_index(lab)
-        out_idx.extend((2 * i, 2 * i + 1))
-    s = s[out_idx]
-    if spec.default is None:
-        touched = np.any(np.abs(s) > 0, axis=0)
-        for j, lab in enumerate(inout_map.input_register):
-            if (touched[2 * j] or touched[2 * j + 1]) and lab not in spec.variances:
-                raise ValueError(f"no variance assigned to input mode {lab}")
-    diag = np.empty(2 * len(inout_map.input_register))
-    for j, lab in enumerate(inout_map.input_register):
-        vr, vi = spec.variance_pair(lab)
-        diag[2 * j] = vr if vr is not None else 0.0
-        diag[2 * j + 1] = vi if vi is not None else 0.0
+    diag = np.array(
+        [spec.variance_pair(lab) for lab in inout_map.input_register], dtype=float
+    ).reshape(-1)
     infinite = np.isinf(diag)
     cov = (s * np.where(infinite, 0.0, diag)) @ s.T
     if infinite.any():
@@ -438,5 +403,5 @@ def propagate_covariance(
         # with them would give 0 * inf = NaN where a coefficient is zero.
         unbounded = s[:, infinite] @ s[:, infinite].T
         cov = np.where(unbounded == 0, cov, np.copysign(np.inf, unbounded))
-    quads = tuple((lab, part) for lab in outputs for part in ("re", "im"))
+    quads = tuple((lab, part) for lab in inout_map.output_register for part in ("re", "im"))
     return QuadratureCovariance(quadratures=quads, matrix=cov)

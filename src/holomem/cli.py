@@ -30,11 +30,10 @@ import numpy as np
 from . import __version__
 from .algebra import light
 from .fidelity import (
+    FidelityReport,
     PixelNoiseModel,
     fidelity_from_covariance,
-    noise_covariance,
     protocol_noise,
-    squeezed_spec,
     squeezing_sweep,
 )
 from .oracle import DEFAULT_POINTS_PER_PERIOD, OracleGrid, compare, extract_map, z_points
@@ -316,6 +315,21 @@ def _pixels(params: dict) -> int:
     return pixels
 
 
+_FIDELITY_HEADER = ["r", "pixels", "f_n", "f_av", "beats_classical", "beats_cloning"]
+
+
+def _fidelity_row(report: FidelityReport) -> list[str]:
+    """The cells of _FIDELITY_HEADER for one report."""
+    return [
+        _fmt(report.squeezing_r),
+        _fmt(report.pixel_count),
+        _fmt(report.f_n),
+        _fmt(report.f_av),
+        _fmt(report.beats_classical),
+        _fmt(report.beats_cloning),
+    ]
+
+
 def cmd_fidelity(params: dict, out: str | None) -> int:
     pixels = _pixels(params)
     r = _finite("squeeze-r", params["squeeze_r"])
@@ -327,20 +341,9 @@ def cmd_fidelity(params: dict, out: str | None) -> int:
     with np.errstate(all="ignore"):
         cycle = full_cycle(config)
     _require_finite("full_cycle map", cycle.coefficients, config.kappa)
-    noise = extract_noise(cycle)
-    model = noise_covariance(noise, squeezed_spec(noise, r), pixels)
-    report = fidelity_from_covariance(model, squeezing_r=r)
-    header = ["kappa", "r", "pixels", "f_n", "f_av", "beats_classical", "beats_cloning"]
-    row = [
-        _fmt(config.kappa),
-        _fmt(r),
-        _fmt(pixels),
-        _fmt(report.f_n),
-        _fmt(report.f_av),
-        _fmt(report.beats_classical),
-        _fmt(report.beats_cloning),
-    ]
-    _write_table(out, header, [row])
+    (report,) = squeezing_sweep([r], pixel_count=pixels, noise=extract_noise(cycle))
+    row = [_fmt(config.kappa), *_fidelity_row(report)]
+    _write_table(out, ["kappa", *_FIDELITY_HEADER], [row])
     return 0
 
 
@@ -408,19 +411,7 @@ def cmd_squeeze_sweep(params: dict, out: str | None) -> int:
     noise = protocol_noise(int(params["order_max"]))
     r_values = np.linspace(lo, hi, points)
     reports = squeezing_sweep(r_values, pixel_count=pixels, noise=noise)
-    header = ["r", "pixels", "f_n", "f_av", "beats_classical", "beats_cloning"]
-    rows = [
-        [
-            _fmt(rep.squeezing_r),
-            _fmt(rep.pixel_count),
-            _fmt(rep.f_n),
-            _fmt(rep.f_av),
-            _fmt(rep.beats_classical),
-            _fmt(rep.beats_cloning),
-        ]
-        for rep in reports
-    ]
-    _write_table(out, header, rows)
+    _write_table(out, _FIDELITY_HEADER, [_fidelity_row(rep) for rep in reports])
     return 0
 
 

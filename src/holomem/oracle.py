@@ -41,7 +41,7 @@ scales them by a and a^2 and fills them into the two maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -123,16 +123,6 @@ class OracleGrid:
     def periods(self) -> float:
         """Number of 2 pi interference layers along the cell."""
         return self.effective_phase / (2 * np.pi)
-
-    def refined(self, factor: int = 2) -> "OracleGrid":
-        """Same physics on a grid with `factor` times finer z steps."""
-        z_points = (self.z_points - 1) * factor + 1
-        if not (isinstance(factor, int) and factor >= 1):
-            return replace(self, z_points=z_points)  # not finer: check it
-        # A finer grid of a checked one passes every check of __post_init__.
-        grid = object.__new__(type(self))
-        grid.__dict__.update(self.__dict__, z_points=z_points)
-        return grid
 
     def register(self) -> tuple[ModeLabel, ...]:
         return standard_register(self.order_max)
@@ -296,8 +286,11 @@ def _grid_blocks(order_max: int, z_points: int, dk: float) -> _GridBlocks:
     )
 
 
-def _pass_map(grid: OracleGrid) -> np.ndarray:
+def _pass_map(grid: OracleGrid, refinement: int = 1) -> np.ndarray:
     """One pass as out = linear @ u + conjugate @ conj(u), stacked as [linear, conjugate].
+
+    The z grid is the grid's own with `refinement` times finer steps:
+    (grid.z_points - 1) * refinement + 1 points.
 
     Spin amplitudes v seed Hermitian (pixel-level) fields
     2 theta_n(z) Re[v e^{i Delta_k z}]; over the unit pulse the light
@@ -322,8 +315,9 @@ def _pass_map(grid: OracleGrid) -> np.ndarray:
     call, this function only checks the resolution and fills two zeroed
     matrices with a-scaled blocks.
     """
-    check_resolution(grid.order_max, grid.z_points)
-    blocks = _grid_blocks(grid.order_max, grid.z_points, grid.effective_phase)
+    points = (grid.z_points - 1) * refinement + 1
+    check_resolution(grid.order_max, points)
+    blocks = _grid_blocks(grid.order_max, points, grid.effective_phase)
     a = grid.kappa
     n_spin = grid.order_max + 1
     dim = 1 + 2 * n_spin
@@ -389,7 +383,7 @@ def extract_map(grid: OracleGrid, refinement_levels: int = 0) -> OracleResult:
     order = None
     tolerance = None
     for level in range(1, refinement_levels + 1):
-        fine = _pass_map(grid.refined(2**level))
+        fine = _pass_map(grid, 2**level)
         ratios.append(float(np.abs(fine - prev).max()))  # over both blocks
         prev = fine
     if len(ratios) >= 2 and ratios[-1] > 0:

@@ -255,7 +255,7 @@ def test_vacuum_covariance_of_identity():
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
 def test_single_pass_light_output_variance(kappa):
     m = single_pass(ProtocolConfig(kappa=kappa))
-    cov = propagate_covariance(m, CovarianceSpec.vacuum(), outputs=[light()])
+    cov = propagate_covariance(m, CovarianceSpec.vacuum())
     expected = (1 + kappa**2) / 2
     assert_allclose(cov.variance(light(), "re"), expected, rtol=1e-14)
     assert_allclose(cov.variance(light(), "im"), expected, rtol=1e-14)
@@ -263,7 +263,7 @@ def test_single_pass_light_output_variance(kappa):
 
 def test_full_cycle_added_noise_variance():
     m = full_cycle(ProtocolConfig(kappa=1.0))
-    cov = propagate_covariance(m, CovarianceSpec.vacuum(), outputs=[light("R")])
+    cov = propagate_covariance(m, CovarianceSpec.vacuum())
     assert_allclose(cov.variance(light("R"), "re") - 0.5, 11 / 60, atol=1e-12)
     assert_allclose(cov.variance(light("R"), "im") - 0.5, 11 / 60, atol=1e-12)
 
@@ -275,7 +275,9 @@ def test_infinite_variance_reaches_only_nonzero_coefficients():
     spec = CovarianceSpec(variances={spin_p(0): (0.0, math.inf)})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cov = propagate_covariance(m, spec, outputs=[light("R")]).matrix
+        full = propagate_covariance(m, spec)
+    i = full.quadratures.index((light("R"), "re"))
+    cov = full.matrix[i : i + 2, i : i + 2]
     assert cov[1, 1] == math.inf
     assert np.all(np.isfinite([cov[0, 0], cov[0, 1], cov[1, 0]]))
     # vacuum gives 1/2 + 11/60; p0's squeezed re quadrature removes (1/6)^2 / 2
@@ -302,11 +304,17 @@ def test_covariance_scales_quadratically_with_coefficients():
     assert_allclose(scaled, 9.0 * base, rtol=1e-12, atol=1e-12)
 
 
-def test_uncovered_input_mode_rejected():
+def test_unlisted_modes_are_vacuum_over_every_output():
     m = single_pass(ProtocolConfig(kappa=1.0, order_max=2))
-    partial = CovarianceSpec(variances={light(): (0.5, 0.5)}, default=None)
-    with pytest.raises(ValueError, match="no variance"):
-        propagate_covariance(m, partial, outputs=[light()])
+    cov = propagate_covariance(m, CovarianceSpec(variances={light(): (0.5, 0.5)}))
+    assert cov.quadratures == tuple(
+        (lab, part) for lab in m.output_register for part in ("re", "im")
+    )
+    vacuum = propagate_covariance(m, CovarianceSpec.vacuum())
+    assert cov.matrix.tobytes() == vacuum.matrix.tobytes()
+    assert CovarianceSpec().variance_pair(spin_p(1)) == (0.5, 0.5)
+    with pytest.raises(TypeError):
+        CovarianceSpec(default=0.5)
 
 
 def test_covariance_spec_validation():
@@ -323,7 +331,5 @@ def test_covariance_spec_validation():
     CovarianceSpec(variances={spin_x(0): (0.0, 0.0)})
     with pytest.raises(ValueError, match="NaN"):
         CovarianceSpec(variances={spin_x(0): (np.nan, 0.5)})
-    with pytest.raises(ValueError, match="finite"):
-        CovarianceSpec(default=np.inf)
     with pytest.raises(ValueError, match="finite"):
         CovarianceSpec.with_squeezing([spin_x(0)], r=np.nan)

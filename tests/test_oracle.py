@@ -205,22 +205,16 @@ def test_light_commutator_is_bit_identical_to_a_fresh_symplectic_product():
         assert repr(result.light_commutator()) == repr(expected)
 
 
-def test_refined_grid_skips_the_checks_and_keeps_the_physics(monkeypatch):
+def test_refinement_sweeps_the_finer_grid_of_the_same_physics():
     grid = small_grid(z_points=401, transverse_phase_shift=0.5)
-    checked = replace(grid, z_points=(grid.z_points - 1) * 4 + 1)
-
-    def fail(self):
-        raise AssertionError("__post_init__ reran")
-
-    monkeypatch.setattr(OracleGrid, "__post_init__", fail)
-    fine = grid.refined(4)
-    assert fine == checked and hash(fine) == hash(checked)
-    assert fine.z_points == 1601 and fine.periods == grid.periods
-    monkeypatch.undo()
-    # a factor that does not refine is still checked
-    with pytest.raises(ValueError, match="coarse"):
-        grid.refined(0)
-    assert grid.refined(1) == grid
+    refined = _pass_map(grid, 4)
+    _grid_blocks.cache_clear()  # the finer grid is swept afresh
+    fine = _pass_map(replace(grid, z_points=(grid.z_points - 1) * 4 + 1))
+    assert refined.tobytes() == fine.tobytes()
+    assert _pass_map(grid, 1).tobytes() == _pass_map(grid).tobytes()
+    assert _pass_map(grid).tobytes() != fine.tobytes()
+    with pytest.raises(ValueError, match="z grid too coarse"):
+        _pass_map(grid, 0)
 
 
 def test_compare_rejects_register_mismatch():

@@ -7,7 +7,8 @@ output: the digest, the invocation's number, its exit code, and which
 output it is (data file, `.meta.json` sidecar, stdout, stderr).  Output
 is byte-identical only at a fixed BLAS thread count, so the thread
 settings are printed first.  Two checkouts give the same outputs when
-their printed lines are the same:
+their printed lines are the same.  The line count of the checkout's
+`src/holomem` goes to stderr, so it stays out of the diff:
 
     python tools/output_digests.py > after.txt
     python tools/output_digests.py ../parent > before.txt
@@ -43,6 +44,9 @@ THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def main(argv: list[str]) -> int:
     checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    package = sorted((checkout / "src" / "holomem").glob("*.py"))
+    lines = sum(len(path.read_bytes().splitlines()) for path in package)
+    print(f"src/holomem: {lines} lines in {len(package)} files", file=sys.stderr)
     for name in THREAD_SETTINGS:
         print(f"{name}={os.environ.get(name, '(unset)')}")
     with tempfile.TemporaryDirectory() as work:
