@@ -143,11 +143,11 @@ class LinearInOutMap:
         output_register: tuple[ModeLabel, ...],
         coefficients: np.ndarray,
     ) -> "LinearInOutMap":
-        """Map over registers already checked, taking over a fresh complex matrix.
+        """Map over registers already checked, taking over a complex matrix.
 
-        For products built inside this module: the registers come from maps
-        that checked them, and the matrix has no other owner, so it is frozen
-        in place instead of copied.
+        For maps built inside the package: the registers come from maps that
+        checked them, and the matrix either has no other owner or is already
+        read-only, so it is frozen in place instead of copied.
         """
         inout_map = object.__new__(cls)
         object.__setattr__(inout_map, "input_register", input_register)
@@ -290,10 +290,13 @@ def light_commutator_from_quadratures(
     This is the (re, im) entry of S Omega S^T, the output commutators
     [u'_a, u'_b] / i, which equal Omega when the map preserves them.
     """
-    register = tuple(register)
-    comm = s @ _symplectic_form(register) @ s.T
-    i = 2 * register.index(out_label)
-    return float(comm[i, i + 1])
+    i = 2 * tuple(register).index(out_label)
+    return light_commutator_from_rows(s[i : i + 2], register)
+
+
+def light_commutator_from_rows(rows: np.ndarray, register: Sequence[ModeLabel]) -> float:
+    """[a_out, a_out^dag] from one output's (re, im) rows of S: (rows Omega rows^T)[0, 1]."""
+    return float((rows @ _symplectic_form(tuple(register)) @ rows.T)[0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,14 @@ from .fidelity import (
     FidelityReport,
     PixelNoiseModel,
     fidelity_from_covariance,
-    protocol_noise,
     squeezing_sweep,
 )
 from .oracle import DEFAULT_POINTS_PER_PERIOD, OracleGrid, compare, extract_map, z_points
 from .protocol import (
     ProtocolConfig,
     double_pass_write,
-    extract_noise,
     full_cycle,
+    require_finite,
     single_pass,
 )
 
@@ -104,12 +103,6 @@ def _finite(name: str, value) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     return value
-
-
-def _require_finite(name: str, values, kappa: float) -> None:
-    """A ValueError naming kappa unless every value (array or scalars) is finite."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"kappa = {kappa!r} is too large: the {name} overflows")
 
 
 def _fmt(value) -> str:
@@ -235,7 +228,7 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
     """defaults < config file < explicit command-line flags.
 
     Every default has its flag's type, so config values are checked against
-    it.
+    it and converted to it, as the flag would parse them.
     """
     params = dict(DEFAULTS[command])
     if args.config is not None:
@@ -247,7 +240,7 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
         for key, value in file_values.items():
             _check_config_value(key, value, type(params[key]))
-        params.update(file_values)
+            params[key] = type(params[key])(value)
     for key in params:
         value = getattr(args, key, None)
         if value is not None:
@@ -277,7 +270,7 @@ def _print_map(name: str, inout_map) -> None:
 
 def cmd_maps(params: dict, out: str | None) -> int:
     config = ProtocolConfig(kappa=params["kappa"], order_max=int(params["order_max"]))
-    # An overflowing coupling is reported once, by _require_finite.
+    # An overflowing coupling is reported once, by require_finite.
     with np.errstate(all="ignore"):
         maps = {
             "single_pass": single_pass(config),
@@ -285,7 +278,7 @@ def cmd_maps(params: dict, out: str | None) -> int:
             "full_cycle": full_cycle(config),
         }
     for name, m in maps.items():
-        _require_finite(f"{name} map", m.coefficients, config.kappa)
+        require_finite(f"{name} map", m.coefficients, config.kappa)
     if out is None:
         print(f"kappa = {config.kappa}, order_max = {config.order_max}")
         for name, m in maps.items():
@@ -336,12 +329,7 @@ def cmd_fidelity(params: dict, out: str | None) -> int:
     if r < 0:
         raise ValueError("squeeze-r must be nonnegative")
     config = ProtocolConfig(kappa=params["kappa"], order_max=int(params["order_max"]))
-    # extract_noise rejects kappa != 1 with guidance; that surfaces here as
-    # a validation error (exit code 1).
-    with np.errstate(all="ignore"):
-        cycle = full_cycle(config)
-    _require_finite("full_cycle map", cycle.coefficients, config.kappa)
-    (report,) = squeezing_sweep([r], pixel_count=pixels, noise=extract_noise(cycle))
+    (report,) = squeezing_sweep([r], pixel_count=pixels, config=config)
     row = [_fmt(config.kappa), *_fidelity_row(report)]
     _write_table(out, ["kappa", *_FIDELITY_HEADER], [row])
     return 0
@@ -365,11 +353,11 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
             cycle = full_cycle(ProtocolConfig(kappa=float(kappa), order_max=order_max))
             row_coeffs = cycle.coefficients[cycle.out_index(light("R"))]
             weights = np.abs(row_coeffs) ** 2
-        _require_finite("full_cycle map", cycle.coefficients, float(kappa))
+        require_finite("full_cycle map", cycle.coefficients, float(kappa))
         signal = cycle.in_index(light("W"))
         gain, power = complex(row_coeffs[signal]), float(weights[signal])
         noise_var = 0.5 * sum(float(w) for i, w in enumerate(weights) if i != signal)
-        _require_finite("recovery power or added noise", [power, noise_var], float(kappa))
+        require_finite("recovery power or added noise", [power, noise_var], float(kappa))
         # The determinant-formula fidelity assumes the signal restored with
         # unit amplitude, so it is only quoted where the gain is 1.  With
         # vacuum inputs noise_var is the variance of either noise quadrature.
@@ -408,9 +396,8 @@ def cmd_squeeze_sweep(params: dict, out: str | None) -> int:
         raise ValueError("squeezing sweep needs at least 2 points")
     if lo < 0 or hi < lo:
         raise ValueError("r range must satisfy 0 <= min <= max")
-    noise = protocol_noise(int(params["order_max"]))
-    r_values = np.linspace(lo, hi, points)
-    reports = squeezing_sweep(r_values, pixel_count=pixels, noise=noise)
+    config = ProtocolConfig(order_max=int(params["order_max"]))
+    reports = squeezing_sweep(np.linspace(lo, hi, points), pixel_count=pixels, config=config)
     _write_table(out, _FIDELITY_HEADER, [_fidelity_row(rep) for rep in reports])
     return 0
 
@@ -439,16 +426,16 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
     # No analytic map reads the grating phase, and the note above is the
     # run's one few-layer diagnostic.
     config = ProtocolConfig(kappa=grid.kappa, order_max=grid.order_max)
-    # An overflowing coupling is reported once, by _require_finite.
+    # An overflowing coupling is reported once, by require_finite.
     with np.errstate(all="ignore"):
         analytic = single_pass(config)
         result = extract_map(grid, refinement_levels=1)
         report = compare(result, analytic, tolerance)
         light_commutator = result.light_commutator()
-    _require_finite("single_pass map", analytic.coefficients, grid.kappa)
+    require_finite("single_pass map", analytic.coefficients, grid.kappa)
     for block in (result.linear, result.conjugate):
-        _require_finite("oracle map", block, grid.kappa)
-    _require_finite(
+        require_finite("oracle map", block, grid.kappa)
+    require_finite(
         "oracle report",
         [report.max_relative, report.max_absolute, report.max_zero_entry, report.leakage,
          light_commutator, result.reported_tolerance, *result.refinement_ratios],

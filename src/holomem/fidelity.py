@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import CovarianceSpec, LinearInOutMap, light, propagate_covariance
-from .protocol import NoiseCoefficients, ProtocolConfig, extract_noise, full_cycle
+from .protocol import NoiseCoefficients, ProtocolConfig, extract_noise, full_cycle, require_finite
 
 CLASSICAL_BENCHMARK = 0.5
 CLONING_BENCHMARK = 2.0 / 3.0
@@ -164,14 +165,22 @@ def fidelity_from_covariance(
     )
 
 
-def protocol_noise(order_max: int = 4) -> NoiseCoefficients:
-    """Added-noise coefficients of the optimally coupled cycle (kappa = 1)."""
-    return extract_noise(full_cycle(ProtocolConfig(kappa=1.0, order_max=order_max)))
+@lru_cache(maxsize=128)
+def protocol_noise(config: ProtocolConfig = ProtocolConfig()) -> NoiseCoefficients:
+    """Added-noise coefficients of the cycle at config, kept for the last 128 configs.
+
+    kappa away from 1 and an overflowing kappa raise on every call.
+    """
+    with np.errstate(all="ignore"):  # an overflow is reported once, by require_finite
+        cycle = full_cycle(config)
+    require_finite("full_cycle map", cycle.coefficients, config.kappa)
+    return extract_noise(cycle)
 
 
 def vacuum_fidelity(pixel_count: int = 1, order_max: int = 4) -> FidelityReport:
     """Fidelity with unsqueezed (vacuum) spins; F_av = 60/71."""
-    model = noise_covariance(protocol_noise(order_max), CovarianceSpec.vacuum(), pixel_count)
+    noise = protocol_noise(ProtocolConfig(order_max=order_max))
+    model = noise_covariance(noise, CovarianceSpec.vacuum(), pixel_count)
     return fidelity_from_covariance(model)
 
 
@@ -181,17 +190,14 @@ def squeezed_spec(noise: NoiseCoefficients, r: float) -> CovarianceSpec:
 
 
 def squeezing_sweep(
-    r_values: Sequence[float],
-    pixel_count: int = 1,
-    noise: NoiseCoefficients | None = None,
+    r_values: Sequence[float], pixel_count: int = 1, config: ProtocolConfig = ProtocolConfig()
 ) -> list[FidelityReport]:
-    """Fidelity versus initial spin squeezing of the three noise modes.
+    """Fidelity versus initial spin squeezing of the three noise modes at config.
 
     Monotone increasing in r with limit F_av -> 1; the closed form is
     F_av(r) = (1 + (11/60) e^{-2r})^{-1}.
     """
-    if noise is None:
-        noise = protocol_noise()
+    noise = protocol_noise(config)
     reports = []
     for r in r_values:
         model = noise_covariance(noise, squeezed_spec(noise, r), pixel_count)

@@ -51,7 +51,7 @@ from .algebra import (
     LinearInOutMap,
     ModeLabel,
     light,
-    light_commutator_from_quadratures,
+    light_commutator_from_rows,
     realify,
     standard_register,
 )
@@ -367,8 +367,9 @@ class OracleResult:
 
     def light_commutator(self) -> float:
         """[a_out, a_out^dag] of the extracted map, leakage included."""
-        s = realify(self.linear, self.conjugate)
-        return light_commutator_from_quadratures(s, self.register, light())
+        i = self.register.index(light())
+        rows = realify(self.linear[i : i + 1], self.conjugate[i : i + 1])
+        return light_commutator_from_rows(rows, self.register)
 
 
 def extract_map(grid: OracleGrid, refinement_levels: int = 0) -> OracleResult:

@@ -131,8 +131,13 @@ def single_pass(config: ProtocolConfig, stage: str = "") -> LinearInOutMap:
 def interpass_transform(order_max: int, stage: str = "") -> LinearInOutMap:
     """pi/2 spin rotation and pi/2 optical phase shift between two passes.
 
-    a -> i a,  x_n -> -p_n,  p_n -> x_n.
+    a -> i a,  x_n -> -p_n,  p_n -> x_n; built once per (order_max, stage), read-only.
     """
+    return _interpass_transform(order_max, stage)
+
+
+@lru_cache(maxsize=128)
+def _interpass_transform(order_max: int, stage: str) -> LinearInOutMap:
     register = standard_register(order_max, stage)
     dim = len(register)
     mat = np.zeros((dim, dim), dtype=complex)
@@ -140,7 +145,7 @@ def interpass_transform(order_max: int, stage: str = "") -> LinearInOutMap:
     n = np.arange(order_max + 1)
     mat[1 + n, 2 + order_max + n] = -1.0
     mat[2 + order_max + n, 1 + n] = 1.0
-    return LinearInOutMap(register, register, mat)
+    return LinearInOutMap._owned(register, register, mat)
 
 
 def double_pass(one: LinearInOutMap, order_max: int, stage: str = "") -> LinearInOutMap:
@@ -165,11 +170,13 @@ def cycle_from_write(write: LinearInOutMap, order_max: int) -> LinearInOutMap:
     fresh light pulse a@R; in the output register the a@R coordinate holds
     the retrieved light and a@W the discarded write-stage light.  The
     coefficients of a stage do not depend on its light pulse, so the read
-    stage is the write stage's matrix relabelled onto the read register.
+    stage is the write stage's read-only matrix over the read register.
     """
+    if write.input_register != standard_register(order_max, stage="W"):
+        raise ValueError("the write stage must act on standard_register(order_max, 'W')")
     register = cycle_register(order_max)
     read_register = standard_register(order_max, stage="R")
-    read = write.relabeled(read_register, read_register)
+    read = LinearInOutMap._owned(read_register, read_register, write.coefficients)
     return compose(write.embedded(register), read.embedded(register))
 
 
@@ -201,6 +208,12 @@ def classical_single_pass_cycle(config: ProtocolConfig) -> LinearInOutMap:
     rotation[p_i, x_i] = 1.0
     rotate = LinearInOutMap(register, register, rotation)
     return compose(compose(write, rotate), read)
+
+
+def require_finite(name: str, values, kappa: float) -> None:
+    """A ValueError naming kappa unless every value (array or scalars) is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"kappa = {kappa!r} is too large: the {name} overflows")
 
 
 @dataclass(frozen=True)

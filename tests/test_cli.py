@@ -4,6 +4,8 @@ import errno
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holomem
 from holomem.cli import DEFAULTS, _json_text, _parse_args, build_parser, main
+from holomem.fidelity import protocol_noise
 
 
 def run(capsys, *argv):
@@ -424,6 +428,57 @@ def test_repeated_calls_in_one_process_reuse_the_parser(tmp_path, capsys):
         for suffix in ("", ".meta.json"):
             first = (tmp_path / f"first.{name}{suffix}").read_bytes()
             assert (tmp_path / f"again.{name}{suffix}").read_bytes() == first
+
+
+def test_second_fidelity_call_writes_the_bytes_of_a_fresh_process(tmp_path, capsys):
+    code, _, _ = run(capsys, "fidelity", "--pixels", "10", "--squeeze-r", "0.5",
+                     "--out", str(tmp_path / "first.csv"))
+    assert code == 0
+    argv = ["fidelity", "--pixels", "2000", "--squeeze-r", "0.25"]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "warm.csv"))
+    assert code == 0
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(holomem.__file__)))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "holomem.cli", *argv, "--out", str(tmp_path / "cold.csv")],
+        env=env, capture_output=True,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    for suffix in ("", ".meta.json"):
+        warm = (tmp_path / f"warm.csv{suffix}").read_bytes()
+        assert warm == (tmp_path / f"cold.csv{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kappa, message",
+    [
+        ("1.2", "the noise decomposition a_out = a_in + f holds only at kappa = 1; "
+                "use the full-cycle map directly for other couplings"),
+        ("1e160", "kappa = 1e+160 is too large: the full_cycle map overflows"),
+    ],
+)
+def test_rejected_fidelity_couplings_fail_alike_on_every_call(tmp_path, capsys, kappa, message):
+    out_file = tmp_path / "out.csv"
+    for _ in range(2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "fidelity", "--kappa", kappa, "--out", str(out_file))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not out_file.exists()
+
+
+def test_integer_kappa_in_a_config_file_writes_the_bytes_of_the_flag(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"kappa": 1}))
+    outputs = []
+    for source in (["--kappa", "1.0"], ["--config", str(config)], ["--kappa", "1.0"]):
+        if source[0] == "--config":
+            protocol_noise.cache_clear()  # the integer kappa is then the cached key
+        out_file = tmp_path / f"{len(outputs)}.csv"
+        code, _, _ = run(capsys, "fidelity", "--pixels", "7", *source, "--out", str(out_file))
+        assert code == 0
+        outputs.append(out_file.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert b"\n1.0,0.0,7," in outputs[0]
 
 
 def test_warm_oracle_verify_repeats_its_first_output(tmp_path, capsys):

@@ -20,7 +20,7 @@ from holomem.fidelity import (
     squeezing_sweep,
     vacuum_fidelity,
 )
-from holomem.protocol import NoiseCoefficients
+from holomem.protocol import NoiseCoefficients, ProtocolConfig, extract_noise, full_cycle
 
 import reference
 
@@ -203,3 +203,24 @@ def test_squeezing_sweep_is_monotone():
 def test_fidelity_invariant_under_pixel_count():
     for pixels in (1, 2, 7):
         assert_allclose(vacuum_fidelity(pixel_count=pixels).f_av, 60 / 71, rtol=1e-12)
+
+
+def test_cached_noise_is_the_uncached_extraction_bit_for_bit():
+    for order in range(2, 61):
+        config = ProtocolConfig(order_max=order)
+        cached = protocol_noise(config)
+        fresh = extract_noise(full_cycle(config))
+        pairs = [(getattr(cached, f), getattr(fresh, f)) for f in ("x1", "p0", "p2")]
+        # repr spells both parts of each complex exactly, -0.0 included
+        assert [repr(c) for c, _ in pairs] == [repr(f) for _, f in pairs]
+        assert protocol_noise(ProtocolConfig(order_max=order)) is cached
+
+
+def test_rejected_couplings_are_not_cached():
+    before = protocol_noise.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="holds only at kappa = 1"):
+            protocol_noise(ProtocolConfig(kappa=1.2))
+        with pytest.raises(ValueError, match="kappa = 1e\\+160 is too large"):
+            protocol_noise(ProtocolConfig(kappa=1e160))
+    assert protocol_noise.cache_info().currsize == before

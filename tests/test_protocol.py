@@ -8,6 +8,7 @@ from holomem.algebra import compose, light, spin_p, spin_x, standard_register
 from holomem.protocol import (
     ProtocolConfig,
     classical_single_pass_cycle,
+    cycle_from_write,
     cycle_register,
     double_pass_write,
     extract_noise,
@@ -91,6 +92,36 @@ def test_interpass_squares_to_minus_identity():
     ip = interpass_transform(3)
     twice = np.asarray(ip.coefficients) @ np.asarray(ip.coefficients)
     assert_allclose(twice, -np.eye(len(ip.input_register), dtype=complex), atol=0)
+
+
+def test_interpass_transform_is_one_read_only_object_per_order_and_stage():
+    built = {}
+    for order in (2, 4, 30):
+        for stage in ("", "W", "R"):
+            ip = interpass_transform(order, stage)
+            assert interpass_transform(order, stage=stage) is ip
+            assert ip.input_register == ip.output_register == standard_register(order, stage)
+            assert not ip.coefficients.flags.writeable
+            with pytest.raises(ValueError):
+                ip.coefficients[0, 0] = 0.0
+            built[order, stage] = ip
+        assert interpass_transform(order) is built[order, ""]
+        # one matrix per order: the stage only names the light pulse
+        assert_allclose(built[order, "W"].coefficients, built[order, "R"].coefficients, atol=0)
+    assert len({id(ip) for ip in built.values()}) == len(built)
+
+
+def test_cycle_reads_with_the_write_stage_matrix_and_rejects_other_registers():
+    write = double_pass_write(ProtocolConfig(kappa=0.8), stage="W")
+    cycle = cycle_from_write(write, 4)
+    assert cycle.input_register == cycle_register(4)
+    assert_allclose(cycle.coefficients, full_cycle(ProtocolConfig(kappa=0.8)).coefficients, atol=0)
+    # a stage over the read light (or any other register) is not a write stage
+    for stage in ("R", ""):
+        with pytest.raises(ValueError, match="write stage"):
+            cycle_from_write(double_pass_write(ProtocolConfig(kappa=0.8), stage=stage), 4)
+    with pytest.raises(ValueError, match="write stage"):
+        cycle_from_write(write, 3)
 
 
 def test_write_stage_input_light_erased_at_unit_coupling():

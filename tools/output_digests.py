@@ -1,4 +1,4 @@
-"""SHA-256 of every output of ten reference holomem CLI runs.
+"""SHA-256 of every output of twelve reference holomem CLI runs.
 
 Each invocation runs in a fresh `python -m holomem.cli` process, from the
 `src` directory of the checkout given as the only argument (by default the
@@ -25,7 +25,8 @@ import tempfile
 from pathlib import Path
 
 # The five README invocations, then the larger cases: order 60, a sweep at
-# order 30, and oracle grids at other orders, couplings and periods.
+# order 30, oracle grids at other orders, couplings and periods, and the
+# cached noise route at order 60, 10^6 pixels and squeezing r = 10.
 INVOCATIONS = (
     ("maps", "--kappa", "1.0"),
     ("fidelity", "--pixels", "10", "--squeeze-r", "0.5"),
@@ -37,6 +38,8 @@ INVOCATIONS = (
     ("oracle-verify", "--order-max", "20", "--grating-periods", "300"),
     ("oracle-verify", "--kappa", "1.13"),
     ("oracle-verify", "--order-max", "60", "--grating-periods", "1000"),
+    ("fidelity", "--order-max", "60", "--pixels", "1000000", "--squeeze-r", "10"),
+    ("squeeze-sweep", "--order-max", "30", "--pixels", "1000000"),
 )
 THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
