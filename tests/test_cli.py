@@ -455,6 +455,7 @@ def test_second_fidelity_call_writes_the_bytes_of_a_fresh_process(tmp_path, caps
                 "use the full-cycle map directly for other couplings"),
         ("1e160", "kappa = 1e+160 is too large: the full_cycle map overflows"),
     ],
+    ids=["away-from-one", "overflow"],
 )
 def test_rejected_fidelity_couplings_fail_alike_on_every_call(tmp_path, capsys, kappa, message):
     out_file = tmp_path / "out.csv"
