@@ -282,26 +282,27 @@ def _symplectic_form(register: tuple[ModeLabel, ...]) -> np.ndarray:
     return omega
 
 
-def light_commutator_from_quadratures(
-    s: np.ndarray, register: Sequence[ModeLabel], out_label: ModeLabel
-) -> float:
-    """[a_out, a_out^dag] of a real-quadrature map u' = S u.
-
-    This is the (re, im) entry of S Omega S^T, the output commutators
-    [u'_a, u'_b] / i, which equal Omega when the map preserves them.
-    """
-    i = 2 * tuple(register).index(out_label)
-    return light_commutator_from_rows(s[i : i + 2], register)
-
-
 def light_commutator_from_rows(rows: np.ndarray, register: Sequence[ModeLabel]) -> float:
-    """[a_out, a_out^dag] from one output's (re, im) rows of S: (rows Omega rows^T)[0, 1]."""
+    """[a_out, a_out^dag] from one output's (re, im) rows of a real-quadrature map u' = S u.
+
+    This is (rows Omega rows^T)[0, 1], an entry of the output commutators
+    S Omega S^T = [u'_a, u'_b] / i, which equal Omega when S preserves them.
+    """
     return float((rows @ _symplectic_form(tuple(register)) @ rows.T)[0, 1])
 
 
 # ---------------------------------------------------------------------------
 # Covariance propagation
 # ---------------------------------------------------------------------------
+
+
+def squeezed_variance(r: float) -> float:
+    """(1/2) e^{-2r}, the variance of a quadrature squeezed by a finite r >= 0."""
+    if not math.isfinite(r):
+        raise ValueError(f"squeezing parameter r must be finite, got {r}")
+    if r < 0:
+        raise ValueError("squeezing parameter r must be nonnegative")
+    return VACUUM_VARIANCE * np.exp(-2 * float(r))  # float: -2r warns for a NumPy r > 9e307
 
 
 @dataclass(frozen=True)
@@ -349,17 +350,12 @@ class CovarianceSpec:
 
     @classmethod
     def with_squeezing(cls, labels: Iterable[ModeLabel], r: float) -> "CovarianceSpec":
-        """Squeeze both quadratures of each given mode to (1/2) e^{-2r}.
+        """Squeeze both quadratures of each given mode to (1/2) e^{-2r} (squeezed_variance).
 
-        The conjugate partners are antisqueezed to (1/2) e^{+2r} so the
-        assignment stays a physical Gaussian state.
+        The conjugate partners are antisqueezed to (1/2) e^{+2r}, a physical Gaussian state.
         """
-        if not math.isfinite(r):
-            raise ValueError(f"squeezing parameter r must be finite, got {r}")
-        if r < 0:
-            raise ValueError("squeezing parameter r must be nonnegative")
+        sq = squeezed_variance(r)
         with np.errstate(over="ignore"):  # past r ~ 354.9 the antisqueezing is inf
-            sq = VACUUM_VARIANCE * np.exp(-2 * r)
             anti = VACUUM_VARIANCE * np.exp(2 * r)
         variances: dict[ModeLabel, tuple[float, float]] = {}
         for lab in labels:
@@ -386,25 +382,26 @@ class QuadratureCovariance:
         return float(self.matrix[i, i])
 
 
-def propagate_covariance(inout_map: LinearInOutMap, spec: CovarianceSpec) -> QuadratureCovariance:
-    """Covariance of every output quadrature under the map, inputs independent.
+def transport_covariance(s: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """S diag(variances) S^T, the covariance of u' = S u over independent inputs u.
 
-    The complex map is lifted to the real-quadrature picture and the input
-    covariance (diagonal, one variance per quadrature) is transported as
-    S Sigma S^T, over both quadratures of each output mode.  An infinite
-    input variance makes infinite every entry its quadrature reaches; a
-    zero coefficient contributes nothing, even against an infinite variance.
+    An infinite variance makes infinite each entry it reaches by a nonzero coefficient.
     """
-    s = realify(inout_map.coefficients)
-    diag = np.array(
-        [spec.variance_pair(lab) for lab in inout_map.input_register], dtype=float
-    ).reshape(-1)
-    infinite = np.isinf(diag)
-    cov = (s * np.where(infinite, 0.0, diag)) @ s.T
+    infinite = np.isinf(variances)
+    cov = (s * np.where(infinite, 0.0, variances)) @ s.T
     if infinite.any():
         # Fill from the outer products of the infinite columns: a product
         # with them would give 0 * inf = NaN where a coefficient is zero.
         unbounded = s[:, infinite] @ s[:, infinite].T
         cov = np.where(unbounded == 0, cov, np.copysign(np.inf, unbounded))
+    return cov
+
+
+def propagate_covariance(inout_map: LinearInOutMap, spec: CovarianceSpec) -> QuadratureCovariance:
+    """Covariance of both quadratures of every output mode, by transport_covariance."""
+    diag = np.array(
+        [spec.variance_pair(lab) for lab in inout_map.input_register], dtype=float
+    ).reshape(-1)
+    cov = transport_covariance(realify(inout_map.coefficients), diag)
     quads = tuple((lab, part) for lab in inout_map.output_register for part in ("re", "im"))
     return QuadratureCovariance(quadratures=quads, matrix=cov)

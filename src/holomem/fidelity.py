@@ -1,22 +1,18 @@
 """Multipixel coherent-state fidelity of the storage cycle.
 
-The retrieved field decomposes as A_out = A_in + F per pixel, with F built
-from three independent spin modes.  For an N-pixel coherent input the
-fidelity is the determinant formula
+The retrieved field is A_out = A_in + F per pixel, with the added noise
+F = c_x1 x_1 + c_p0 p_0 + c_p2 p_2 of three independent spin modes.  For
+an N-pixel coherent input, with noise quadrature covariances C^X and C^P,
+F_N = [det(I + C^X) det(I + C^P)]^(-1/2) and F_av = F_N^(1/N) per pixel.
+Vacuum spins give C^X = C^P = (11/60) I, hence F_av = 60/71 ~ 0.845, above
+the classical benchmark 1/2 and the cloning limit 2/3; squeezing the three
+spin modes drives F_av toward 1.
 
-    F_N = [det(I + C^X) det(I + C^P)]^(-1/2)
-
-over the noise quadrature covariances, and the average fidelity per pixel
-is F_av = F_N^(1/N).  Vacuum spins give C^X = C^P = (11/60) I, hence
-F_av = 60/71 ~ 0.845, above both the classical benchmark 1/2 and the
-cloning limit 2/3; squeezing the three contributing spin modes drives
-F_av toward 1.
-
-Pixels are independent, so the protocol's covariances are a variance times
-the identity.  Such a model is carried as one variance per quadrature and
-its log-determinant is N (log1p(var_x) + log1p(var_p)): the cost does not
-depend on N.  Only explicitly given (correlated) N x N matrices are
-factored.
+The coefficients c and their realify'd rows are built once per
+ProtocolConfig (protocol_noise); per squeezing r, squeezing_sweep forms one
+2x6 S Sigma S^T.  Pixels are independent, so a covariance is one variance
+per quadrature and log det is N (log1p(var_x) + log1p(var_p)), whatever N;
+only explicitly given (correlated) N x N matrices are factored.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import CovarianceSpec, LinearInOutMap, light, propagate_covariance
+from .algebra import CovarianceSpec, squeezed_variance, transport_covariance
 from .protocol import NoiseCoefficients, ProtocolConfig, extract_noise, full_cycle, require_finite
 
 CLASSICAL_BENCHMARK = 0.5
@@ -127,23 +123,21 @@ def noise_covariance(
     spin_spec: CovarianceSpec,
     pixel_count: int,
 ) -> PixelNoiseModel:
-    """Pixel noise covariances from the added-noise coefficients.
+    """Pixel noise covariances var F_X, var F_P of F = (F_X + i F_P)/sqrt(2), from noise.rows.
 
-    The noise F = (F_X + i F_P)/sqrt(2) = sum_k c_k m_k of independent spin
-    inputs is propagated as a one-row map, so var F_X and var F_P are the
-    (re, re) and (im, im) entries of its quadrature covariance.  Spin modes
-    are independent across pixels, so both covariances are that variance
-    times the identity, and the model carries just the two variances.
     Specs that would correlate F_X with F_P (unequal re/im variances on a
-    mode with complex coefficient) are rejected, as the pixel model carries
-    no cross block.
+    mode with complex coefficient) are rejected: the model has no cross block.
     """
-    labels, coefficients = zip(*noise.items())
-    row = LinearInOutMap(labels, (light(),), [coefficients])
-    cov = propagate_covariance(row, spin_spec).matrix
+    variances = [spin_spec.variance_pair(label) for label, _ in noise.items()]
+    return _pixel_model(noise, np.array(variances, dtype=float).reshape(-1), pixel_count)
+
+
+def _pixel_model(noise: NoiseCoefficients, variances: np.ndarray, pixels: int) -> PixelNoiseModel:
+    """noise_covariance from the six quadrature variances of (x_1, p_0, p_2)."""
+    cov = transport_covariance(noise.rows, variances)
     if abs(cov[0, 1]) > _CROSS_TOL:
         raise ValueError("X/P noise cross-correlations are not representable")
-    return PixelNoiseModel(pixel_count, cov[0, 0], cov[1, 1])
+    return PixelNoiseModel(pixels, cov[0, 0], cov[1, 1])
 
 
 def fidelity_from_covariance(
@@ -200,6 +194,7 @@ def squeezing_sweep(
     noise = protocol_noise(config)
     reports = []
     for r in r_values:
-        model = noise_covariance(noise, squeezed_spec(noise, r), pixel_count)
+        # squeezed_spec's variance on all six noise quadratures; no partner is in the row
+        model = _pixel_model(noise, np.full(6, squeezed_variance(r)), pixel_count)
         reports.append(fidelity_from_covariance(model, squeezing_r=float(r)))
     return reports

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .algebra import (
     ModeLabel,
     compose,
     light,
+    realify,
     spin_p,
     spin_x,
     standard_register,
@@ -227,6 +228,13 @@ class NoiseCoefficients:
     x1: complex
     p0: complex
     p2: complex
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """realify'd f, read-only: its (re, im) rows over the quadratures of (x_1, p_0, p_2)."""
+        rows = realify([[self.x1, self.p0, self.p2]])
+        rows.flags.writeable = False
+        return rows
 
     def items(self) -> tuple[tuple[ModeLabel, complex], ...]:
         return ((spin_x(1), self.x1), (spin_p(0), self.p0), (spin_p(2), self.p2))

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from holomem import algebra
@@ -333,3 +334,22 @@ def test_covariance_spec_validation():
         CovarianceSpec(variances={spin_x(0): (np.nan, 0.5)})
     with pytest.raises(ValueError, match="finite"):
         CovarianceSpec.with_squeezing([spin_x(0)], r=np.nan)
+
+
+SPIN_LABELS = st.builds(
+    ModeLabel, kind=st.sampled_from(["x", "p"]), order=st.integers(min_value=0, max_value=4)
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    r=st.floats(min_value=0.0, allow_infinity=False),
+    labels=st.lists(SPIN_LABELS, unique=True, max_size=6),
+)
+def test_with_squeezing_accepts_every_finite_nonnegative_r(r, labels):
+    # the sweep in holomem.fidelity builds no spec per r, relying on this
+    spec = CovarianceSpec.with_squeezing(labels, r)
+    sq = algebra.squeezed_variance(r)
+    for label in labels:
+        if label.conjugate_partner() not in labels:
+            assert spec.variance_pair(label) == (sq, sq)

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from holomem.algebra import CovarianceSpec, spin_p, spin_x
@@ -213,6 +214,10 @@ def test_cached_noise_is_the_uncached_extraction_bit_for_bit():
         # repr spells both parts of each complex exactly, -0.0 included
         assert repr(cached) == repr(fresh)
         assert protocol_noise(ProtocolConfig(order_max=order)) is cached
+        # the quadrature rows are built once per config and shared read-only
+        assert cached.rows.tobytes() == fresh.rows.tobytes()
+        assert cached.rows is protocol_noise(config).rows
+        assert not cached.rows.flags.writeable
 
 
 def test_rejected_couplings_are_not_cached():
@@ -223,3 +228,40 @@ def test_rejected_couplings_are_not_cached():
         with pytest.raises(ValueError, match="kappa = 1e\\+160 is too large"):
             protocol_noise(ProtocolConfig(kappa=1e160))
     assert protocol_noise.cache_info().currsize == before
+
+
+# r = 354.9: the antisqueezed partners overflow to inf; r = 380: e^{-2r}
+# underflows to 0.
+SWEEP_R_VALUES = (0.0, math.log(math.sqrt(2.0)), 1.0, 10.0, 354.9, 380.0, 1e308)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    order_max=st.integers(min_value=2, max_value=30),
+    extra_r=st.floats(min_value=0.0, max_value=1e308),
+)
+@example(order_max=2, extra_r=0.0)
+@example(order_max=30, extra_r=5e-324)
+def test_squeezing_sweep_is_the_general_route_bit_for_bit(order_max, extra_r):
+    # the sweep transports the cached noise rows; the general route builds a
+    # squeezed CovarianceSpec per r and goes through noise_covariance.  The
+    # CLI sweeps a NumPy array, whose -2r overflows (and must not warn) at 1e308.
+    config = ProtocolConfig(order_max=order_max)
+    noise = protocol_noise(config)
+    r_values = [*SWEEP_R_VALUES, extra_r]
+    for pixels in (1, 2000, 10**6):
+        models = [noise_covariance(noise, squeezed_spec(noise, r), pixels) for r in r_values]
+        expected = [repr(fidelity_from_covariance(m, r)) for m, r in zip(models, r_values)]
+        for values in (r_values, np.array(r_values)):
+            reports = squeezing_sweep(values, pixel_count=pixels, config=config)
+            assert [repr(report) for report in reports] == expected
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -1e-300, -2.0])
+def test_squeezing_sweep_rejects_bad_r_as_with_squeezing_does(r):
+    with pytest.raises(ValueError) as expected:
+        CovarianceSpec.with_squeezing([spin_x(1)], r)
+    with pytest.raises(ValueError) as raised:
+        squeezing_sweep([0.5, r])
+    assert str(raised.value) == str(expected.value)
+    assert str(expected.value).startswith("squeezing parameter r must be")
