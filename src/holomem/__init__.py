@@ -6,85 +6,47 @@ light and spin quadrature amplitudes, evaluates the multipixel
 coherent-state fidelity of the full write-read cycle, and validates the
 analytic maps against direct numerical integration of the coupled
 light-spin equations with the grating carrier resolved.
+
+`import holomem` runs no submodule: each public name, and each submodule
+in _EXPORTS, is imported on first attribute access (PEP 562).
 """
 
-from .algebra import (
-    CovarianceSpec,
-    LinearInOutMap,
-    ModeLabel,
-    compose,
-    light,
-    propagate_covariance,
-    spin_p,
-    spin_x,
-    standard_register,
-)
-from .basis import legendre_poly, project_onto_basis, q_matrix, theta
-from .fidelity import (
-    CLASSICAL_BENCHMARK,
-    CLONING_BENCHMARK,
-    FidelityReport,
-    PixelNoiseModel,
-    fidelity_from_covariance,
-    noise_covariance,
-    squeezing_sweep,
-    vacuum_fidelity,
-)
-from .oracle import (
-    OracleGrid,
-    OracleResult,
-    compare,
-    extract_map,
-    numerical_full_cycle,
-)
-from .protocol import (
-    NoiseCoefficients,
-    ProtocolConfig,
-    classical_single_pass_cycle,
-    cycle_register,
-    double_pass_write,
-    extract_noise,
-    full_cycle,
-    interpass_transform,
-    single_pass,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLASSICAL_BENCHMARK",
-    "CLONING_BENCHMARK",
-    "CovarianceSpec",
-    "FidelityReport",
-    "LinearInOutMap",
-    "ModeLabel",
-    "NoiseCoefficients",
-    "OracleGrid",
-    "OracleResult",
-    "PixelNoiseModel",
-    "ProtocolConfig",
-    "classical_single_pass_cycle",
-    "compare",
-    "compose",
-    "cycle_register",
-    "double_pass_write",
-    "extract_map",
-    "extract_noise",
-    "fidelity_from_covariance",
-    "full_cycle",
-    "interpass_transform",
-    "legendre_poly",
-    "light",
-    "noise_covariance",
-    "numerical_full_cycle",
-    "project_onto_basis",
-    "propagate_covariance",
-    "q_matrix",
-    "single_pass",
-    "spin_p",
-    "spin_x",
-    "squeezing_sweep",
-    "standard_register",
-    "theta",
-    "vacuum_fidelity",
-]
+# Each submodule and the public names it exports.
+_EXPORTS = {
+    "algebra": (
+        "CovarianceSpec", "LinearInOutMap", "ModeLabel", "compose", "light",
+        "propagate_covariance", "spin_p", "spin_x", "standard_register",
+    ),
+    "basis": ("legendre_poly", "project_onto_basis", "q_matrix", "theta"),
+    "fidelity": (
+        "CLASSICAL_BENCHMARK", "CLONING_BENCHMARK", "FidelityReport", "PixelNoiseModel",
+        "fidelity_from_covariance", "noise_covariance", "squeezing_sweep", "vacuum_fidelity",
+    ),
+    "oracle": ("OracleGrid", "OracleResult", "compare", "extract_map", "numerical_full_cycle"),
+    "protocol": (
+        "NoiseCoefficients", "ProtocolConfig", "classical_single_pass_cycle", "cycle_register",
+        "double_pass_write", "extract_noise", "full_cycle", "interpass_transform", "single_pass",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        # Importing a submodule binds it in this namespace.
+        return import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

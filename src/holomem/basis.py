@@ -11,11 +11,13 @@ matrix carries the spin-to-spin transfer coefficients of the light pass.
 
 The sampled tables and the projection work on the unit cell, L = 1: the
 oracle measures z in cell lengths.  theta(n, z, length) keeps L, as the
-independent reference for both.
+independent reference for both.  z_points is the one rule for how many
+grid points a number of grating periods gets.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -24,6 +26,9 @@ import numpy as np
 # Slack for floating point z-grids whose endpoints land a few ulp outside
 # the cell.
 _EDGE_TOL = 1e-12
+# z points per grating period: the fewest an oracle grid accepts, and the default.
+MIN_POINTS_PER_PERIOD = 20
+DEFAULT_POINTS_PER_PERIOD = 40
 
 
 def legendre_poly(n: int, u):
@@ -90,6 +95,15 @@ def q_matrix(order_max: int) -> np.ndarray:
 def cell_grid(n_points: int) -> np.ndarray:
     """Uniform z grid covering the unit cell [-1/2, 1/2], endpoints included."""
     return np.linspace(-0.5, 0.5, n_points)
+
+
+def z_points(periods: float, per_period: int) -> int:
+    """Points of a z grid at per_period per grating period, with an even interval count."""
+    span = per_period * periods
+    if not math.isfinite(span):
+        raise ValueError(f"z grid too large: {per_period} points per period, {periods:g} periods")
+    intervals = math.ceil(span)
+    return intervals + intervals % 2 + 1
 
 
 def simpson_weights(n_points: int, h: float) -> np.ndarray:

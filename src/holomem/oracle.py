@@ -55,25 +55,21 @@ from .algebra import (
     realify,
     standard_register,
 )
-from .basis import cell_grid, check_resolution, sampled_basis
+from .basis import (
+    DEFAULT_POINTS_PER_PERIOD,
+    MIN_POINTS_PER_PERIOD,
+    cell_grid,
+    check_resolution,
+    sampled_basis,
+    z_points,
+)
 from .protocol import cycle_from_write, double_pass
 
-MIN_POINTS_PER_PERIOD = 20
-DEFAULT_POINTS_PER_PERIOD = 40
 # z points per chunk of the pass-map sums: the sweep's transient memory is
 # O(order_max * _Z_CHUNK), however fine the grid.
 _Z_CHUNK = 1024
 # Analytic coefficients at or below this count as zero in compare.
 ZERO_THRESHOLD = 1e-9
-
-
-def z_points(periods: float, per_period: int) -> int:
-    """Points of a z grid at per_period per grating period, with an even interval count."""
-    span = per_period * periods
-    if not math.isfinite(span):
-        raise ValueError(f"z grid too large: {per_period} points per period, {periods:g} periods")
-    intervals = math.ceil(span)
-    return intervals + intervals % 2 + 1
 
 
 @dataclass(frozen=True)
@@ -86,8 +82,8 @@ class OracleGrid:
     transverse_phase_shift lumps the per-transverse-mode diffraction
     correction q^2 L / (2 k_0) into an effective grating phase (the oracle
     is one-dimensional per transverse mode).  z_points = None picks the
-    default resolution of 40 points per grating period.  Time needs no
-    grid: the pass is exact in time (see _pass_map).
+    default resolution, DEFAULT_POINTS_PER_PERIOD points per grating
+    period.  Time needs no grid: the pass is exact in time (see _pass_map).
     """
 
     grating_phase: float = 200 * np.pi

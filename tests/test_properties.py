@@ -1,14 +1,15 @@
 """Property tests: physical invariants of the full cycle over random inputs.
 
-Hypothesis draws the coupling and the Legendre truncation, random
-register pairs for map composition and embedding, and random complex
-maps for the two commutator routes; the draws are derandomized so the suite stays
-reproducible.
+Hypothesis draws the coupling and the Legendre truncation (up to aim 3's
+order 60), the squeezing and the pixel count for the closed-form
+fidelity, random register pairs for map composition and embedding, and
+random complex maps for the two commutator routes; the draws are
+derandomized so the suite stays reproducible.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holomem.algebra import (
     LinearInOutMap,
@@ -20,13 +21,14 @@ from holomem.algebra import (
     standard_register,
     symplectic_form,
 )
+from holomem.fidelity import squeezing_sweep
 from holomem.protocol import ProtocolConfig, cycle_register, full_cycle
 
 import reference
 
 CYCLES = dict(
     kappa=st.floats(min_value=0.0, max_value=2.0),
-    order_max=st.integers(min_value=2, max_value=30),
+    order_max=st.integers(min_value=2, max_value=60),
 )
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -49,6 +51,20 @@ def test_full_cycle_keeps_retrieved_light_commutator(kappa, order_max):
     rows = realify(cycle.coefficients[i : i + 1])
     comm = light_commutator_from_rows(rows, cycle.input_register)
     assert abs(comm - 1.0) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(
+    r=st.floats(min_value=0.0, max_value=10.0),
+    pixels=st.integers(min_value=1, max_value=10**6),
+    order_max=CYCLES["order_max"],
+)
+@example(r=0.0, pixels=10**6, order_max=60)
+@example(r=10.0, pixels=10**6, order_max=60)
+def test_squeezed_fidelity_follows_the_closed_form_at_any_pixel_count(r, pixels, order_max):
+    config = ProtocolConfig(order_max=order_max)
+    (report,) = squeezing_sweep([r], pixel_count=pixels, config=config)
+    assert abs(report.f_av - 1 / (1 + 11 / 60 * np.exp(-2 * r))) <= 1e-12
 
 
 # Light of three stages and stage-tagged spin modes of low order.

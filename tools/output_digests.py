@@ -1,14 +1,16 @@
-"""SHA-256 of every output of twelve reference holomem CLI runs.
+"""SHA-256 of every output of eighteen reference holomem CLI runs.
 
 Each invocation runs in a fresh `python -m holomem.cli` process, from the
 `src` directory of the checkout given as the only argument (by default the
-one holding this script), with `--out` set.  One line is printed per
-output: the digest, the invocation's number, its exit code, and which
-output it is (data file, `.meta.json` sidecar, stdout, stderr).  Output
-is byte-identical only at a fixed BLAS thread count, so the thread
-settings are printed first.  Two checkouts give the same outputs when
-their printed lines are the same.  The line count of the checkout's
-`src/holomem` goes to stderr, so it stays out of the diff:
+one holding this script), with `COLUMNS=80`.  Twelve compute runs have
+`--out` set; the other six print the parser texts, which are built from
+the CLI's defaults: `holomem --help` and each command's `--help`.  One
+line is printed per output: the digest, the invocation's number, its exit
+code, and which output it is (data file, `.meta.json` sidecar, stdout,
+stderr).  Output is byte-identical only at a fixed BLAS thread count, so
+the thread settings are printed first.  Two checkouts give the same
+outputs when their printed lines are the same.  The line count of the
+checkout's `src/holomem` goes to stderr, so it stays out of the diff:
 
     python tools/output_digests.py > after.txt
     python tools/output_digests.py ../parent > before.txt
@@ -41,28 +43,35 @@ INVOCATIONS = (
     ("fidelity", "--order-max", "60", "--pixels", "1000000", "--squeeze-r", "10"),
     ("squeeze-sweep", "--order-max", "30", "--pixels", "1000000"),
 )
+COMMANDS = ("maps", "fidelity", "sweep-kappa", "squeeze-sweep", "oracle-verify")
+HELP_INVOCATIONS = (("--help",), *((command, "--help") for command in COMMANDS))
 THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def main(argv: list[str]) -> int:
     checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    # argparse wraps help text to COLUMNS.
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), COLUMNS="80")
     package = sorted((checkout / "src" / "holomem").glob("*.py"))
     lines = sum(len(path.read_bytes().splitlines()) for path in package)
     print(f"src/holomem: {lines} lines in {len(package)} files", file=sys.stderr)
     for name in THREAD_SETTINGS:
         print(f"{name}={os.environ.get(name, '(unset)')}")
     with tempfile.TemporaryDirectory() as work:
-        for number, invocation in enumerate(INVOCATIONS, 1):
+        for number, invocation in enumerate(INVOCATIONS + HELP_INVOCATIONS, 1):
             # A relative --out in a fresh directory keeps paths out of the output.
             out = f"run{number}.out"
+            if invocation in HELP_INVOCATIONS:
+                argv, files = invocation, ()
+            else:
+                argv, files = (*invocation, "--out", out), (out, f"{out}.meta.json")
             proc = subprocess.run(
-                [sys.executable, "-m", "holomem.cli", *invocation, "--out", out],
+                [sys.executable, "-m", "holomem.cli", *argv],
                 cwd=work, env=env, capture_output=True,
             )
             print(f"# {number}: holomem {' '.join(invocation)} -> exit {proc.returncode}")
             outputs = {"stdout": proc.stdout, "stderr": proc.stderr}
-            for name in (out, f"{out}.meta.json"):
+            for name in files:
                 path = Path(work, name)
                 outputs[name] = path.read_bytes() if path.exists() else b"(missing)"
             for name, data in outputs.items():
