@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 # Each submodule and the public names it exports.
 _EXPORTS = {
     "algebra": (
-        "CovarianceSpec", "LinearInOutMap", "ModeLabel", "compose", "light",
-        "propagate_covariance", "spin_p", "spin_x", "standard_register",
+        "CovarianceSpec", "LinearInOutMap", "ModeLabel", "compose", "light", "spin_p",
+        "spin_x", "standard_register",
     ),
     "basis": ("legendre_poly", "project_onto_basis", "q_matrix", "theta"),
     "fidelity": (

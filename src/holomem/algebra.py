@@ -370,18 +370,6 @@ class CovarianceSpec:
         return self.variances.get(label, (VACUUM_VARIANCE, VACUUM_VARIANCE))
 
 
-@dataclass(frozen=True)
-class QuadratureCovariance:
-    """Symmetric covariance over the output quadratures."""
-
-    quadratures: tuple[tuple[ModeLabel, str], ...]
-    matrix: np.ndarray
-
-    def variance(self, label: ModeLabel, part: str = "re") -> float:
-        i = self.quadratures.index((label, part))
-        return float(self.matrix[i, i])
-
-
 def transport_covariance(s: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """S diag(variances) S^T, the covariance of u' = S u over independent inputs u.
 
@@ -396,12 +384,3 @@ def transport_covariance(s: np.ndarray, variances: np.ndarray) -> np.ndarray:
         cov = np.where(unbounded == 0, cov, np.copysign(np.inf, unbounded))
     return cov
 
-
-def propagate_covariance(inout_map: LinearInOutMap, spec: CovarianceSpec) -> QuadratureCovariance:
-    """Covariance of both quadratures of every output mode, by transport_covariance."""
-    diag = np.array(
-        [spec.variance_pair(lab) for lab in inout_map.input_register], dtype=float
-    ).reshape(-1)
-    cov = transport_covariance(realify(inout_map.coefficients), diag)
-    quads = tuple((lab, part) for lab in inout_map.output_register for part in ("re", "im"))
-    return QuadratureCovariance(quadratures=quads, matrix=cov)

@@ -18,6 +18,7 @@ only explicitly given (correlated) N x N matrices are factored.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -46,6 +47,10 @@ class PixelNoiseModel:
     """
 
     def __init__(self, pixel_count: int, cov_x, cov_p):
+        try:
+            operator.index(pixel_count)  # NumPy integers pass; NaN, inf and 2.5 do not
+        except TypeError:
+            raise ValueError(f"pixel_count must be an integer, got {pixel_count!r}") from None
         if pixel_count < 1:
             raise ValueError("pixel_count must be >= 1")
         try:
@@ -178,11 +183,6 @@ def vacuum_fidelity(pixel_count: int = 1, order_max: int = 4) -> FidelityReport:
     return fidelity_from_covariance(model)
 
 
-def squeezed_spec(noise: NoiseCoefficients, r: float) -> CovarianceSpec:
-    """Squeeze both quadratures of the three contributing spin modes by r."""
-    return CovarianceSpec.with_squeezing([label for label, _ in noise.items()], r)
-
-
 def squeezing_sweep(
     r_values: Sequence[float], pixel_count: int = 1, config: ProtocolConfig = ProtocolConfig()
 ) -> list[FidelityReport]:
@@ -194,7 +194,7 @@ def squeezing_sweep(
     noise = protocol_noise(config)
     reports = []
     for r in r_values:
-        # squeezed_spec's variance on all six noise quadratures; no partner is in the row
+        # with_squeezing's variance on all six noise quadratures; no partner is in the row
         model = _pixel_model(noise, np.full(6, squeezed_variance(r)), pixel_count)
         reports.append(fidelity_from_covariance(model, squeezing_r=float(r)))
     return reports

@@ -40,7 +40,6 @@ scales them by a and a^2 and fills them into the two maps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -63,7 +62,7 @@ from .basis import (
     sampled_basis,
     z_points,
 )
-from .protocol import cycle_from_write, double_pass
+from .protocol import check_parameters, cycle_from_write, double_pass
 
 # z points per chunk of the pass-map sums: the sweep's transient memory is
 # O(order_max * _Z_CHUNK), however fine the grid.
@@ -93,17 +92,16 @@ class OracleGrid:
     transverse_phase_shift: float = 0.0
 
     def __post_init__(self):
-        for name in ("kappa", "grating_phase", "transverse_phase_shift"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        check_parameters(
+            self, ("kappa", "grating_phase", "transverse_phase_shift"), ("order_max",)
+        )
         if self.order_max < 0:
             raise ValueError("order_max must be nonnegative")
         if self.effective_phase <= 0:
             raise ValueError("effective grating phase must be positive")
         if self.z_points is None:
             object.__setattr__(self, "z_points", z_points(self.periods, DEFAULT_POINTS_PER_PERIOD))
+        check_parameters(self, (), ("z_points",))
         per_period = (self.z_points - 1) / self.periods
         if per_period < MIN_POINTS_PER_PERIOD * (1 - 1e-9):
             raise ValueError(

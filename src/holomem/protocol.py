@@ -16,6 +16,7 @@ forms serve as independent cross-checks in the test suite.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -40,6 +41,27 @@ MANY_LAYER_PHASE = 10 * np.pi
 NOISE_TOLERANCE = 1e-12
 
 
+def check_parameters(params, finite: tuple[str, ...], integers: tuple[str, ...]) -> None:
+    """The checks ProtocolConfig and OracleGrid share, as a ValueError naming the field.
+
+    Each field named in finite must be a finite number, kappa must be
+    nonnegative, and each field named in integers must be an integer
+    (operator.index, so NumPy integers pass).
+    """
+    for name in finite:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if params.kappa < 0:
+        raise ValueError(f"kappa must be nonnegative, got {params.kappa}")
+    for name in integers:
+        value = getattr(params, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Protocol parameters.
@@ -57,11 +79,7 @@ class ProtocolConfig:
     grating_phase: float = 200 * np.pi
 
     def __post_init__(self):
-        for name in ("kappa", "grating_phase"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        check_parameters(self, ("kappa", "grating_phase"), ("order_max",))
         if self.order_max < 2:
             raise ValueError(f"order_max must be >= 2, got {self.order_max}")
         if self.grating_phase <= 0:

@@ -17,13 +17,17 @@ from holomem.fidelity import (
     fidelity_from_covariance,
     noise_covariance,
     protocol_noise,
-    squeezed_spec,
     squeezing_sweep,
     vacuum_fidelity,
 )
 from holomem.protocol import NoiseCoefficients, ProtocolConfig, extract_noise, full_cycle
 
 import reference
+
+
+def squeezed_spec(noise, r):
+    """Both quadratures of the three noise modes squeezed by r, their partners antisqueezed."""
+    return CovarianceSpec.with_squeezing([label for label, _ in noise.items()], r)
 
 
 def test_vacuum_covariance_is_eleven_sixtieths():
@@ -100,6 +104,13 @@ def test_pixel_noise_model_validation():
         PixelNoiseModel(pixel_count=10**330, cov_x=0.5, cov_p=0.5)
     with pytest.raises(ValueError, match="pixel_count must be >= 1"):
         noise_covariance(protocol_noise(), CovarianceSpec.vacuum(), pixel_count=0)
+    # a count of pixels is an integer; a NumPy integer is one
+    for count in (math.nan, math.inf, 2.5):
+        with pytest.raises(ValueError, match="pixel_count must be an integer"):
+            PixelNoiseModel(pixel_count=count, cov_x=0.5, cov_p=0.5)
+        with pytest.raises(ValueError, match="pixel_count must be an integer"):
+            vacuum_fidelity(count)
+    assert vacuum_fidelity(np.int64(3)) == vacuum_fidelity(3)
 
 
 @pytest.mark.parametrize(

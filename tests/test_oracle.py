@@ -315,6 +315,15 @@ def test_grid_rejects_non_finite_parameters(name, value):
         OracleGrid(**{"grating_phase": 20 * np.pi, name: value})
 
 
+@pytest.mark.parametrize("name, value", [("order_max", 4.5), ("z_points", 4001.5)])
+def test_grid_rejects_non_integer_counts(name, value):
+    # rejected at construction, by name, not in extract_map by a TypeError naming no field
+    with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+        OracleGrid(**{"grating_phase": 200 * np.pi, name: value})
+    grid = OracleGrid(grating_phase=200 * np.pi, **{name: np.int64(value)})
+    assert getattr(grid, name) == int(value)
+
+
 def euler_time_loop(grid, amplitudes, t_points=100, length=1.0, duration=1.0):
     """One pass integrated by explicit time steps, re-solving a(z) each step.
 

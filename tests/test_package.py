@@ -21,8 +21,12 @@ def test_every_public_name_resolves():
 def test_removed_names_stay_removed():
     # the oracle works on the unit cell: no basis wrapper carrying a cell
     # length, and passes and stages go through holomem.protocol; an identity
-    # map is LinearInOutMap over np.eye
-    for name in ("LegendreBasis", "integrate_single_pass", "numerical_stage_map", "identity_map"):
+    # map is LinearInOutMap over np.eye; covariances come from transport_covariance
+    removed = (
+        "LegendreBasis", "integrate_single_pass", "numerical_stage_map", "identity_map",
+        "propagate_covariance",
+    )
+    for name in removed:
         assert name not in holomem.__all__
         assert not hasattr(holomem, name)
 

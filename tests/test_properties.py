@@ -2,7 +2,7 @@
 
 Hypothesis draws the coupling and the Legendre truncation (up to aim 3's
 order 60), the squeezing and the pixel count for the closed-form
-fidelity, random register pairs for map composition and embedding, and
+fidelity, the coupling, truncation and grating periods of the oracle's pass, random register pairs for map composition and embedding, and
 random complex maps for the two commutator routes; the draws are
 derandomized so the suite stays reproducible.
 """
@@ -22,6 +22,7 @@ from holomem.algebra import (
     symplectic_form,
 )
 from holomem.fidelity import squeezing_sweep
+from holomem.oracle import OracleGrid, extract_map
 from holomem.protocol import ProtocolConfig, cycle_register, full_cycle
 
 import reference
@@ -173,3 +174,30 @@ def test_light_commutator_matches_complex_pairing(build_register, order_max, see
             i = 2 * register.index(label)
             comm = light_commutator_from_rows(s[i : i + 2], register)
             np.testing.assert_allclose(comm, expected, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(
+    kappa=st.floats(min_value=0.0, max_value=2.5),
+    order_max=st.integers(min_value=2, max_value=20),
+    periods=st.integers(min_value=100, max_value=300),
+)
+@example(kappa=2.5, order_max=20, periods=300)
+def test_oracle_pass_keeps_light_commutator_and_is_quadratic_in_kappa(kappa, order_max, periods):
+    # light couples to the spins once and back once, so the pass is M0 + a M1 + a^2 M2:
+    # three couplings fix a fourth.  Each coupling reuses the geometry's cached blocks.
+    grids = [
+        OracleGrid(grating_phase=2 * np.pi * periods, kappa=a, order_max=order_max)
+        for a in (0.0, 1.0, 2.0, kappa)
+    ]
+    results = [extract_map(grid) for grid in grids]
+    for result in results:
+        assert abs(result.light_commutator() - 1.0) <= 1e-9
+    at_0, at_1, at_2, drawn = (np.stack([r.linear, r.conjugate]) for r in results)
+    # Lagrange interpolation through a = 0, 1, 2
+    predicted = (
+        at_0 * (kappa - 1) * (kappa - 2) / 2
+        - at_1 * kappa * (kappa - 2)
+        + at_2 * kappa * (kappa - 1) / 2
+    )
+    assert np.abs(predicted - drawn).max() <= 1e-12 * np.abs(drawn).max()

@@ -31,6 +31,10 @@ def test_config_validation():
         ProtocolConfig(kappa=np.nan)
     with pytest.raises(ValueError, match="grating_phase must be finite"):
         ProtocolConfig(grating_phase=np.inf)
+    # rejected at construction, by name, not later by a TypeError naming no field
+    with pytest.raises(ValueError, match="order_max must be an integer, got 4.5"):
+        ProtocolConfig(order_max=4.5)
+    assert ProtocolConfig(order_max=np.int64(4)) == ProtocolConfig()
     with pytest.warns(UserWarning, match="interference layers") as record:
         ProtocolConfig(grating_phase=8 * np.pi)
     # the warning names the line that built the config, not the dataclass __init__
