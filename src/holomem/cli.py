@@ -28,17 +28,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .algebra import light
+from .algebra import VACUUM_VARIANCE, light
 from .basis import DEFAULT_POINTS_PER_PERIOD, z_points
 from .fidelity import (
     FidelityReport,
     PixelNoiseModel,
+    check_pixel_count,
     fidelity_from_covariance,
     squeezing_sweep,
 )
 from .protocol import (
+    NOISE_TOLERANCE,
     ProtocolConfig,
     double_pass_write,
+    finite,
     full_cycle,
     require_finite,
     single_pass,
@@ -95,14 +98,6 @@ _PARAMETER_HELP = {
     "z_per_period": "z points per grating period",
     "tolerance": "relative tolerance",
 }
-
-
-def _finite(name: str, value) -> float:
-    """value as a float, or a ValueError naming the parameter."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
 
 
 def _fmt(value) -> str:
@@ -293,21 +288,6 @@ def cmd_maps(params: dict, out: str | None) -> int:
     return 0
 
 
-def _pixels(params: dict) -> int:
-    """The pixel count, or a ValueError naming pixels.
-
-    The fidelity's log-determinant takes the count as a float.
-    """
-    pixels = int(params["pixels"])
-    if pixels < 1:
-        raise ValueError("pixels must be >= 1")
-    try:
-        float(pixels)
-    except OverflowError:
-        raise ValueError("pixels is out of the float range") from None
-    return pixels
-
-
 _FIDELITY_HEADER = ["r", "pixels", "f_n", "f_av", "beats_classical", "beats_cloning"]
 
 
@@ -324,8 +304,8 @@ def _fidelity_row(report: FidelityReport) -> list[str]:
 
 
 def cmd_fidelity(params: dict, out: str | None) -> int:
-    pixels = _pixels(params)
-    r = _finite("squeeze-r", params["squeeze_r"])
+    pixels = check_pixel_count("pixels", params["pixels"])
+    r = finite("squeeze-r", params["squeeze_r"])
     if r < 0:
         raise ValueError("squeeze-r must be nonnegative")
     config = ProtocolConfig(kappa=params["kappa"], order_max=int(params["order_max"]))
@@ -337,8 +317,8 @@ def cmd_fidelity(params: dict, out: str | None) -> int:
 
 def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     points = int(params["kappa_points"])
-    lo = _finite("kappa-min", params["kappa_min"])
-    hi = _finite("kappa-max", params["kappa_max"])
+    lo = finite("kappa-min", params["kappa_min"])
+    hi = finite("kappa-max", params["kappa_max"])
     if points < 2:
         raise ValueError("kappa sweep needs at least 2 points")
     if lo < 0 or hi < lo:
@@ -356,12 +336,13 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
         require_finite("full_cycle map", cycle.coefficients, float(kappa))
         signal = cycle.in_index(light("W"))
         gain, power = complex(row_coeffs[signal]), float(weights[signal])
-        noise_var = 0.5 * sum(float(w) for i, w in enumerate(weights) if i != signal)
+        noise_var = VACUUM_VARIANCE * sum(float(w) for i, w in enumerate(weights) if i != signal)
         require_finite("recovery power or added noise", [power, noise_var], float(kappa))
         # The determinant-formula fidelity assumes the signal restored with
-        # unit amplitude, so it is only quoted where the gain is 1.  With
-        # vacuum inputs noise_var is the variance of either noise quadrature.
-        if abs(gain - 1.0) <= 1e-9:
+        # unit amplitude, so it is only quoted where the gain is 1, as in
+        # extract_noise.  With vacuum inputs noise_var is the variance of
+        # either noise quadrature.
+        if abs(gain - 1.0) <= NOISE_TOLERANCE:
             f_av = fidelity_from_covariance(PixelNoiseModel(1, noise_var, noise_var)).f_av
         else:
             f_av = float("nan")
@@ -390,8 +371,8 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
 
 def cmd_squeeze_sweep(params: dict, out: str | None) -> int:
     points = int(params["r_points"])
-    lo, hi = _finite("r-min", params["r_min"]), _finite("r-max", params["r_max"])
-    pixels = _pixels(params)
+    lo, hi = finite("r-min", params["r_min"]), finite("r-max", params["r_max"])
+    pixels = check_pixel_count("pixels", params["pixels"])
     if points < 2:
         raise ValueError("squeezing sweep needs at least 2 points")
     if lo < 0 or hi < lo:
@@ -406,9 +387,9 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
     # The one command that runs the oracle is the one that loads it.
     from .oracle import OracleGrid, compare, extract_map
 
-    periods = _finite("grating-periods", params["grating_periods"])
+    periods = finite("grating-periods", params["grating_periods"])
     z_per_period = int(params["z_per_period"])
-    tolerance = _finite("tolerance", params["tolerance"])
+    tolerance = finite("tolerance", params["tolerance"])
     if periods <= 0:
         raise ValueError("grating-periods must be positive")
     if tolerance <= 0:

@@ -34,6 +34,21 @@ CLONING_BENCHMARK = 2.0 / 3.0
 _CROSS_TOL = 1e-12
 
 
+def check_pixel_count(name: str, value) -> int:
+    """value as a pixel count, or a ValueError naming the parameter."""
+    try:
+        count = operator.index(value)  # NumPy integers pass; NaN, inf and 2.5 do not
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1")
+    try:
+        float(count)  # log_det and F_av take it as a float
+    except OverflowError:
+        raise ValueError(f"{name} is out of the float range") from None
+    return count
+
+
 class PixelNoiseModel:
     """Noise quadrature covariances over N pixellized transverse modes.
 
@@ -47,19 +62,9 @@ class PixelNoiseModel:
     """
 
     def __init__(self, pixel_count: int, cov_x, cov_p):
-        try:
-            operator.index(pixel_count)  # NumPy integers pass; NaN, inf and 2.5 do not
-        except TypeError:
-            raise ValueError(f"pixel_count must be an integer, got {pixel_count!r}") from None
-        if pixel_count < 1:
-            raise ValueError("pixel_count must be >= 1")
-        try:
-            float(pixel_count)  # log_det and F_av take it as a float
-        except OverflowError:
-            raise ValueError("pixel_count is out of the float range") from None
-        self.pixel_count = pixel_count
-        self._cov_x = _checked_covariance("cov_x", cov_x, pixel_count)
-        self._cov_p = _checked_covariance("cov_p", cov_p, pixel_count)
+        self.pixel_count = check_pixel_count("pixel_count", pixel_count)
+        self._cov_x = _checked_covariance("cov_x", cov_x, self.pixel_count)
+        self._cov_p = _checked_covariance("cov_p", cov_p, self.pixel_count)
 
     @property
     def cov_x(self) -> np.ndarray:

@@ -62,7 +62,7 @@ from .basis import (
     sampled_basis,
     z_points,
 )
-from .protocol import check_parameters, cycle_from_write, double_pass
+from .protocol import check_parameters, cycle_from_write, double_pass, finite
 
 # z points per chunk of the pass-map sums: the sweep's transient memory is
 # O(order_max * _Z_CHUNK), however fine the grid.
@@ -102,6 +102,7 @@ class OracleGrid:
         if self.z_points is None:
             object.__setattr__(self, "z_points", z_points(self.periods, DEFAULT_POINTS_PER_PERIOD))
         check_parameters(self, (), ("z_points",))
+        finite("z_points", self.z_points)  # the resolution check divides it as a float
         per_period = (self.z_points - 1) / self.periods
         if per_period < MIN_POINTS_PER_PERIOD * (1 - 1e-9):
             raise ValueError(

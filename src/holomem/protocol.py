@@ -41,17 +41,25 @@ MANY_LAYER_PHASE = 10 * np.pi
 NOISE_TOLERANCE = 1e-12
 
 
-def check_parameters(params, finite: tuple[str, ...], integers: tuple[str, ...]) -> None:
+def finite(name: str, value) -> float:
+    """value as a float, or a ValueError naming the parameter if NaN, inf or past float range."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of the float range") from None
+    raise ValueError(f"{name} must be finite, got {value}")
+
+
+def check_parameters(params, finite_fields: tuple[str, ...], integers: tuple[str, ...]) -> None:
     """The checks ProtocolConfig and OracleGrid share, as a ValueError naming the field.
 
-    Each field named in finite must be a finite number, kappa must be
+    Each field named in finite_fields must pass finite, kappa must be
     nonnegative, and each field named in integers must be an integer
     (operator.index, so NumPy integers pass).
     """
-    for name in finite:
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    for name in finite_fields:
+        finite(name, getattr(params, name))
     if params.kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {params.kappa}")
     for name in integers:

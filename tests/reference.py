@@ -14,12 +14,17 @@ symplectic form and noise variances from S Sigma S^T; the complex
 commutator pairing and the hand-derived noise sums it once used are kept
 here as the references for both.  The oracle comparison as first written,
 masked division and an entry-by-entry scan for the largest deviations,
-is the reference its vectorized report must reproduce bit for bit.
+is the reference its vectorized report must reproduce bit for bit.  The
+grating overlap of two Legendre modes is given here in closed form, as the
+exact value the oracle's seeds converge to.
 """
 
+from functools import cache
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import legendre
+from scipy.special import spherical_jn
 
 from holomem import basis
 from holomem.algebra import CovarianceSpec, LinearInOutMap, ModeLabel, light, spin_p, spin_x
@@ -336,3 +341,29 @@ class PerOrderPass:
             linear[x_rows, p_col] = x_gain * self.project(alpha - np.conj(beta) * counter)
             conjugate[x_rows, p_col] = x_gain * self.project(beta - np.conj(alpha) * counter)
         return linear, conjugate
+
+
+@cache
+def legendre_product_table(order_max: int) -> np.ndarray:
+    """c[m, k, n] with P_m P_k = sum_n c[m, k, n] P_n, for m, k <= order_max."""
+    n_spin = order_max + 1
+    table = np.zeros((n_spin, n_spin, 2 * order_max + 1))
+    unit = np.eye(n_spin)
+    for m in range(n_spin):
+        for k in range(m, n_spin):
+            product = legendre.legmul(unit[m], unit[k])  # trailing zeros trimmed
+            table[m, k, : product.size] = table[k, m, : product.size] = product
+    return table
+
+
+def grating_overlap(order_max: int, dk: float) -> np.ndarray:
+    """O[m, k] = int theta_m theta_k e^{-2i dk z} dz over the unit cell, exactly.
+
+    With x = 2z, theta_n = sqrt(2n+1) P_n(x), P_m P_k = sum_n c_n P_n and
+    int_{-1}^{1} P_n(x) e^{-i dk x} dx = 2 (-i)^n j_n(dk) (DLMF 18.17(v)):
+    O_mk = sqrt((2m+1)(2k+1)) sum_n c_n (-i)^n j_n(dk).
+    """
+    n = np.arange(2 * order_max + 1)
+    transforms = np.array([1, -1j, -1, 1j])[n % 4] * spherical_jn(n, dk)  # (-i)^n j_n
+    norms = np.sqrt(2 * np.arange(order_max + 1) + 1)
+    return np.outer(norms, norms) * (legendre_product_table(order_max) @ transforms)

@@ -156,6 +156,22 @@ def test_sweep_kappa_quotes_fidelity_only_at_unit_coupling(capsys):
     assert f_av[1] == pytest.approx(60 / 71, abs=1e-12)
 
 
+def test_sweep_kappa_and_fidelity_share_the_unit_gain_rule(capsys):
+    # |gain - 1| is 4e-10 at kappa = 1.00001: inside a 1e-9 tolerance, but
+    # fidelity, through extract_noise, rejects the coupling, so the sweep
+    # must not quote an f_av there either.
+    code, out, _ = run(
+        capsys, "sweep-kappa", "--kappa-min", "1.00001", "--kappa-max", "1.00002",
+        "--kappa-points", "2",
+    )
+    assert code == 0
+    row = read_csv(out)[0]
+    assert abs(complex(float(row["recovery_re"]), float(row["recovery_im"])) - 1) < 1e-9
+    assert row["f_av"] == "nan"
+    code, _, err = run(capsys, "fidelity", "--kappa", "1.00001")
+    assert code == 1 and "holds only at kappa = 1" in err
+
+
 def test_sweep_kappa_rejects_empty_range(capsys):
     code, _, err = run(capsys, "sweep-kappa", "--kappa-points", "1")
     assert code == 1 and "at least 2" in err
@@ -255,8 +271,8 @@ def test_oracle_verify_tolerance_breach_exits_2(capsys):
 def test_validation_errors_exit_1(capsys):
     code, _, err = run(capsys, "maps", "--kappa", "-1")
     assert code == 1 and "error" in err
-    code, _, _ = run(capsys, "fidelity", "--pixels", "0")
-    assert code == 1
+    code, _, err = run(capsys, "fidelity", "--pixels", "0")
+    assert code == 1 and err == "error: pixels must be >= 1\n"
     code, _, _ = run(capsys, "oracle-verify", "--tolerance", "-0.5")
     assert code == 1
 
@@ -279,7 +295,9 @@ def test_non_finite_parameters_exit_1(tmp_path, capsys, argv, name):
     out_file = tmp_path / "out"
     code, _, err = run(capsys, *argv, "--out", str(out_file))
     assert code == 1
-    assert f"{name} must be finite" in err
+    # the one error line, with the value as the flag parsed it
+    value = float(argv[-1].rpartition("=")[2])
+    assert err == f"error: {name} must be finite, got {value}\n"
     assert not out_file.exists()
 
 

@@ -308,10 +308,14 @@ def test_numerical_full_cycle_takes_the_protocol_route():
         ("kappa", np.nan),
         ("grating_phase", np.inf),
         ("transverse_phase_shift", np.nan),
+        pytest.param("grating_phase", 10**400, id="grating_phase-huge_int"),
+        pytest.param("z_points", 10**400, id="z_points-huge_int"),
     ],
 )
 def test_grid_rejects_non_finite_parameters(name, value):
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
+    # an int past the float range is named too, not an OverflowError naming no field
+    problem = "is out of the float range" if isinstance(value, int) else "must be finite"
+    with pytest.raises(ValueError, match=f"{name} {problem}"):
         OracleGrid(**{"grating_phase": 20 * np.pi, name: value})
 
 
@@ -322,6 +326,21 @@ def test_grid_rejects_non_integer_counts(name, value):
         OracleGrid(**{"grating_phase": 200 * np.pi, name: value})
     grid = OracleGrid(grating_phase=200 * np.pi, **{name: np.int64(value)})
     assert getattr(grid, name) == int(value)
+
+
+@pytest.mark.parametrize("order_max", [4, 20])
+def test_conjugate_seed_block_converges_to_the_exact_grating_overlap(order_max):
+    # At kappa = 0 the pass only reads the seeds back through the grating,
+    # so the conjugate X <- X block is the overlap of theta_m theta_k with
+    # e^{-2i dk z}; the Simpson readout resolves it to fourth order.
+    grid = OracleGrid(
+        grating_phase=200 * np.pi, kappa=0.0, order_max=order_max, z_points=z_points(100, 40)
+    )
+    exact = reference.grating_overlap(order_max, grid.effective_phase)
+    x = slice(1, order_max + 2)
+    errors = [np.abs(_pass_map(grid, r)[1][x, x] - exact).max() for r in (1, 2, 4)]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(12 <= ratio <= 20 for ratio in ratios), (errors, ratios)
 
 
 def euler_time_loop(grid, amplitudes, t_points=100, length=1.0, duration=1.0):

@@ -31,6 +31,11 @@ def test_config_validation():
         ProtocolConfig(kappa=np.nan)
     with pytest.raises(ValueError, match="grating_phase must be finite"):
         ProtocolConfig(grating_phase=np.inf)
+    # an int past the float range is named, not an OverflowError naming no field
+    with pytest.raises(ValueError, match="kappa is out of the float range"):
+        ProtocolConfig(kappa=10**400)
+    with pytest.raises(ValueError, match="grating_phase is out of the float range"):
+        ProtocolConfig(grating_phase=10**400)
     # rejected at construction, by name, not later by a TypeError naming no field
     with pytest.raises(ValueError, match="order_max must be an integer, got 4.5"):
         ProtocolConfig(order_max=4.5)
