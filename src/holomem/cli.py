@@ -41,6 +41,7 @@ from .protocol import (
     NOISE_TOLERANCE,
     ProtocolConfig,
     double_pass_write,
+    few_layers,
     finite,
     full_cycle,
     require_finite,
@@ -51,10 +52,6 @@ COMMENT = (
     "# conventions: kappa is the dimensionless coupling of one pass "
     "(kappa^2 = 2*alpha0*eta, kappa = 1 optimal); vacuum variance 1/2 per quadrature"
 )
-
-# Below this many grating periods the analytic maps the oracle is checked
-# against are themselves suspect.
-MANY_LAYER_MIN_PERIODS = 10
 
 DEFAULTS: dict[str, dict] = {
     "maps": {"kappa": 1.0, "order_max": 4},
@@ -315,6 +312,14 @@ def cmd_fidelity(params: dict, out: str | None) -> int:
     return 0
 
 
+def _sweep_axis(name: str, lo: float, hi: float, points: int) -> np.ndarray:
+    """np.linspace(lo, hi, points); numpy's error for an axis it cannot size names no flag."""
+    try:
+        return np.linspace(lo, hi, points)
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"{name} is too large: {exc}") from None
+
+
 def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     points = int(params["kappa_points"])
     lo = finite("kappa-min", params["kappa_min"])
@@ -324,7 +329,7 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     if lo < 0 or hi < lo:
         raise ValueError("kappa range must satisfy 0 <= min <= max")
     order_max = int(params["order_max"])
-    kappas = np.linspace(lo, hi, points)
+    kappas = _sweep_axis("kappa-points", lo, hi, points)
     header = ["kappa", "recovery_re", "recovery_im", "recovery_power", "added_noise_var", "f_av"]
     rows = []
     powers = []
@@ -378,7 +383,8 @@ def cmd_squeeze_sweep(params: dict, out: str | None) -> int:
     if lo < 0 or hi < lo:
         raise ValueError("r range must satisfy 0 <= min <= max")
     config = ProtocolConfig(order_max=int(params["order_max"]))
-    reports = squeezing_sweep(np.linspace(lo, hi, points), pixel_count=pixels, config=config)
+    r_values = _sweep_axis("r-points", lo, hi, points)
+    reports = squeezing_sweep(r_values, pixel_count=pixels, config=config)
     _write_table(out, _FIDELITY_HEADER, [_fidelity_row(rep) for rep in reports])
     return 0
 
@@ -394,19 +400,19 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
         raise ValueError("grating-periods must be positive")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if periods <= MANY_LAYER_MIN_PERIODS:
-        print(
-            f"warning: {periods:g} grating periods is outside the "
-            "many-interference-layer regime; the analytic reference "
-            "coefficients are unreliable there",
-            file=sys.stderr,
-        )
     grid = OracleGrid(
         grating_phase=2 * np.pi * periods,
         kappa=float(params["kappa"]),
         order_max=int(params["order_max"]),
         z_points=z_points(periods, z_per_period),
     )
+    if few_layers(grid.effective_phase, grid.order_max):
+        print(
+            f"warning: {periods:g} grating periods is outside the "
+            "many-interference-layer regime; the analytic reference "
+            "coefficients are unreliable there",
+            file=sys.stderr,
+        )
     # No analytic map reads the grating phase, and the note above is the
     # run's one few-layer diagnostic.
     config = ProtocolConfig(kappa=grid.kappa, order_max=grid.order_max)

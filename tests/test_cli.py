@@ -222,9 +222,8 @@ def test_oracle_verify_small_grid_passes(tmp_path, capsys):
 
 
 def test_oracle_verify_warns_outside_many_layer_regime(capsys):
-    # The note is the run's one diagnostic, also below ProtocolConfig's own
-    # few-layer threshold (5 periods), whose UserWarning the warnings-as-errors
-    # filter would raise.
+    # The note is the run's one diagnostic: the command's ProtocolConfig has
+    # no grating phase, so it raises no UserWarning (an error under pytest).
     for periods in ("10", "3"):
         code, _, err = run(
             capsys,
@@ -239,6 +238,22 @@ def test_oracle_verify_warns_outside_many_layer_regime(capsys):
             f"warning: {periods} grating periods is outside the many-interference-layer "
             "regime; the analytic reference coefficients are unreliable there\n"
         )
+
+
+@pytest.mark.parametrize(
+    "argv, periods",
+    [(["--grating-periods", "14"], "14"), (["--order-max", "40"], "100")],
+    ids=["low-order", "high-order"],
+)
+def test_oracle_verify_notes_the_grids_that_fail_the_gate(capsys, argv, periods):
+    # Both fail the README's 1% gate on finite-layer physics; the note says why.
+    code, out, err = run(capsys, "oracle-verify", *argv)
+    assert code == 2
+    assert "FAIL" in out
+    assert err == (
+        f"warning: {periods} grating periods is outside the many-interference-layer "
+        "regime; the analytic reference coefficients are unreliable there\n"
+    )
 
 
 def test_oracle_verify_zero_coupling_trivially_passes(capsys):
@@ -275,6 +290,11 @@ def test_validation_errors_exit_1(capsys):
     assert code == 1 and err == "error: pixels must be >= 1\n"
     code, _, _ = run(capsys, "oracle-verify", "--tolerance", "-0.5")
     assert code == 1
+    # a point count numpy cannot size is named, not only numpy's message
+    code, _, err = run(capsys, "sweep-kappa", "--kappa-points", str(10**400))
+    assert code == 1 and err == "error: kappa-points is too large: Maximum allowed size exceeded\n"
+    code, _, err = run(capsys, "squeeze-sweep", "--r-points", str(10**30))
+    assert code == 1 and err == "error: r-points is too large: Maximum allowed size exceeded\n"
 
 
 @pytest.mark.parametrize(

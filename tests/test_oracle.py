@@ -30,6 +30,7 @@ from holomem.protocol import (
     ProtocolConfig,
     double_pass,
     double_pass_write,
+    few_layers,
     full_cycle,
     single_pass,
 )
@@ -53,9 +54,9 @@ def apply_pass(grid, initial):
 
 
 def analytic(grid):
-    return single_pass(
-        ProtocolConfig(kappa=grid.kappa, order_max=grid.order_max, grating_phase=grid.grating_phase)
-    )
+    # Without the phase, as oracle-verify builds it: SMALL is a few-layer grid,
+    # and no analytic map reads the phase.
+    return single_pass(ProtocolConfig(kappa=grid.kappa, order_max=grid.order_max))
 
 
 def test_grid_validation():
@@ -65,6 +66,9 @@ def test_grid_validation():
         OracleGrid(grating_phase=-1.0)
     with pytest.raises(ValueError):
         OracleGrid(kappa=-1.0)
+    # rejected before any register of that order is built
+    with pytest.raises(ValueError, match="order_max must be <= 1000"):
+        OracleGrid(order_max=10**400)
 
 
 def test_grid_has_no_scale_fields():
@@ -246,6 +250,32 @@ def test_fine_grid_agrees_within_half_percent():
     assert report.passed, report.summary()
 
 
+@pytest.mark.parametrize(
+    "order_max, failing, passing",
+    [(2, 16, 17), (4, 16, 17), (8, 20, 21), (20, 50, 51), (40, 112, 113), (60, 174, 175)],
+)
+def test_few_layer_rule_flags_each_calibration_row_at_its_failing_count(
+    order_max, failing, passing
+):
+    # The README comparison (kappa = 1, 40 z points per period, 1%) fails at
+    # the last failing period count and passes at the next one.
+    reports = {}
+    for periods in (failing, passing):
+        grid = OracleGrid(
+            grating_phase=2 * np.pi * periods, order_max=order_max, z_points=z_points(periods, 40)
+        )
+        reports[periods] = compare(extract_map(grid), analytic(grid), tolerance=0.01)
+    assert not reports[failing].passed and reports[passing].passed
+    assert few_layers(2 * np.pi * failing, order_max)
+
+
+@pytest.mark.parametrize(
+    "order_max, periods", [(4, 100), (4, 1000), (20, 300), (60, 1000)], ids=str
+)
+def test_few_layer_rule_passes_the_readme_bench_and_digest_grids(order_max, periods):
+    assert not few_layers(2 * np.pi * periods, order_max)
+
+
 def test_refinement_metadata():
     result = extract_map(small_grid(), refinement_levels=2)
     assert len(result.refinement_ratios) == 2
@@ -271,9 +301,7 @@ def test_extracted_map_preserves_light_commutator():
 def test_numerical_compositions_track_analytic_maps():
     grid = small_grid()
     result = extract_map(grid)
-    config = ProtocolConfig(
-        kappa=grid.kappa, order_max=grid.order_max, grating_phase=grid.grating_phase
-    )
+    config = ProtocolConfig(kappa=grid.kappa, order_max=grid.order_max)
     stage_dev = np.abs(
         double_pass(result.to_map(), grid.order_max).coefficients
         - double_pass_write(config).coefficients

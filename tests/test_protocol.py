@@ -40,10 +40,22 @@ def test_config_validation():
     with pytest.raises(ValueError, match="order_max must be an integer, got 4.5"):
         ProtocolConfig(order_max=4.5)
     assert ProtocolConfig(order_max=np.int64(4)) == ProtocolConfig()
+    # rejected before any register of that order is built
+    with pytest.raises(ValueError, match="order_max must be <= 1000"):
+        ProtocolConfig(order_max=10**400)
     with pytest.warns(UserWarning, match="interference layers") as record:
         ProtocolConfig(grating_phase=8 * np.pi)
     # the warning names the line that built the config, not the dataclass __init__
     assert [w.filename for w in record] == [__file__]
+
+
+def test_config_runs_the_few_layer_rule_only_on_a_given_phase():
+    # order 60 at 100 periods fails the oracle's 1% gate (it passes from 175)
+    with pytest.warns(UserWarning, match="interference layers"):
+        ProtocolConfig(order_max=60, grating_phase=200 * np.pi)
+    # warnings are errors: no phase, no rule, at any order
+    assert ProtocolConfig(order_max=60).grating_phase is None
+    ProtocolConfig(order_max=4, grating_phase=200 * np.pi)
 
 
 def test_resonant_depth_diagnostic():

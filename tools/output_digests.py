@@ -1,8 +1,8 @@
-"""SHA-256 of every output of eighteen reference holomem CLI runs.
+"""SHA-256 of every output of nineteen reference holomem CLI runs.
 
 Each invocation runs in a fresh `python -m holomem.cli` process, from the
 `src` directory of the checkout given as the only argument (by default the
-one holding this script), with `COLUMNS=80`.  Twelve compute runs have
+one holding this script), with `COLUMNS=80`.  Thirteen compute runs have
 `--out` set; the other six print the parser texts, which are built from
 the CLI's defaults: `holomem --help` and each command's `--help`.  One
 line is printed per output: the digest, the invocation's number, its exit
@@ -27,8 +27,9 @@ import tempfile
 from pathlib import Path
 
 # The five README invocations, then the larger cases: order 60, a sweep at
-# order 30, oracle grids at other orders, couplings and periods, and the
-# cached noise route at order 60, 10^6 pixels and squeezing r = 10.
+# order 30, oracle grids at other orders, couplings and periods, the
+# cached noise route at order 60, 10^6 pixels and squeezing r = 10, and a
+# few-layer oracle grid, whose note goes to stderr.
 INVOCATIONS = (
     ("maps", "--kappa", "1.0"),
     ("fidelity", "--pixels", "10", "--squeeze-r", "0.5"),
@@ -42,6 +43,7 @@ INVOCATIONS = (
     ("oracle-verify", "--order-max", "60", "--grating-periods", "1000"),
     ("fidelity", "--order-max", "60", "--pixels", "1000000", "--squeeze-r", "10"),
     ("squeeze-sweep", "--order-max", "30", "--pixels", "1000000"),
+    ("oracle-verify", "--grating-periods", "10", "--z-per-period", "20", "--tolerance", "0.5"),
 )
 COMMANDS = ("maps", "fidelity", "sweep-kappa", "squeeze-sweep", "oracle-verify")
 HELP_INVOCATIONS = (("--help",), *((command, "--help") for command in COMMANDS))
