@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -347,23 +347,6 @@ class CovarianceSpec:
     @classmethod
     def vacuum(cls) -> "CovarianceSpec":
         return cls()
-
-    @classmethod
-    def with_squeezing(cls, labels: Iterable[ModeLabel], r: float) -> "CovarianceSpec":
-        """Squeeze both quadratures of each given mode to (1/2) e^{-2r} (squeezed_variance).
-
-        The conjugate partners are antisqueezed to (1/2) e^{+2r}, a physical Gaussian state.
-        """
-        sq = squeezed_variance(r)
-        with np.errstate(over="ignore"):  # past r ~ 354.9 the antisqueezing is inf
-            anti = VACUUM_VARIANCE * np.exp(2 * r)
-        variances: dict[ModeLabel, tuple[float, float]] = {}
-        for lab in labels:
-            variances[lab] = (sq, sq)
-            partner = lab.conjugate_partner()
-            if partner is not None:
-                variances[partner] = (anti, anti)
-        return cls(variances=variances)
 
     def variance_pair(self, label: ModeLabel) -> tuple[float, float]:
         """(re, im) variances of a mode; vacuum if it is not listed."""

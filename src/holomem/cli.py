@@ -11,7 +11,7 @@ Output is deterministic: at one BLAS thread count, identical parameters
 produce byte-identical CSV or JSON (run metadata goes to a separate
 ``<out>.meta.json`` sidecar, never into the data file).  Complex values are
 serialized as re/im pairs.  Exit codes: 0 success, 1 invalid parameters,
-2 oracle tolerance breach.
+2 oracle tolerance breach, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -312,24 +312,25 @@ def cmd_fidelity(params: dict, out: str | None) -> int:
     return 0
 
 
-def _sweep_axis(name: str, lo: float, hi: float, points: int) -> np.ndarray:
-    """np.linspace(lo, hi, points); numpy's error for an axis it cannot size names no flag."""
+def _sweep_axis(prefix: str, params: dict) -> np.ndarray:
+    """The <prefix>-min .. <prefix>-max axis of <prefix>-points, each error naming its flags."""
+    lo = finite(f"{prefix}-min", params[f"{prefix}_min"])
+    hi = finite(f"{prefix}-max", params[f"{prefix}_max"])
+    points = int(params[f"{prefix}_points"])
+    if points < 2:
+        raise ValueError(f"{prefix}-points must be at least 2")
+    if lo < 0 or hi < lo:
+        raise ValueError(f"{prefix}-min and {prefix}-max must satisfy 0 <= min <= max")
     try:
         return np.linspace(lo, hi, points)
     except (ValueError, MemoryError) as exc:
-        raise ValueError(f"{name} is too large: {exc}") from None
+        # numpy's error for an axis it cannot size names no flag
+        raise ValueError(f"{prefix}-points is too large: {exc}") from None
 
 
 def cmd_sweep_kappa(params: dict, out: str | None) -> int:
-    points = int(params["kappa_points"])
-    lo = finite("kappa-min", params["kappa_min"])
-    hi = finite("kappa-max", params["kappa_max"])
-    if points < 2:
-        raise ValueError("kappa sweep needs at least 2 points")
-    if lo < 0 or hi < lo:
-        raise ValueError("kappa range must satisfy 0 <= min <= max")
+    kappas = _sweep_axis("kappa", params)
     order_max = int(params["order_max"])
-    kappas = _sweep_axis("kappa-points", lo, hi, points)
     header = ["kappa", "recovery_re", "recovery_im", "recovery_power", "added_noise_var", "f_av"]
     rows = []
     powers = []
@@ -365,7 +366,7 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     _write_table(out, header, rows)
     best = int(np.argmax(powers))
     rising = all(powers[i] <= powers[i + 1] + 1e-15 for i in range(best))
-    falling = all(powers[i] >= powers[i + 1] - 1e-15 for i in range(best, points - 1))
+    falling = all(powers[i] >= powers[i + 1] - 1e-15 for i in range(best, len(powers) - 1))
     print(
         f"argmax recovery power: kappa = {kappas[best]:.6g} "
         f"(power {powers[best]:.10g}, unimodal = {rising and falling})",
@@ -375,15 +376,9 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
 
 
 def cmd_squeeze_sweep(params: dict, out: str | None) -> int:
-    points = int(params["r_points"])
-    lo, hi = finite("r-min", params["r_min"]), finite("r-max", params["r_max"])
+    r_values = _sweep_axis("r", params)
     pixels = check_pixel_count("pixels", params["pixels"])
-    if points < 2:
-        raise ValueError("squeezing sweep needs at least 2 points")
-    if lo < 0 or hi < lo:
-        raise ValueError("r range must satisfy 0 <= min <= max")
     config = ProtocolConfig(order_max=int(params["order_max"]))
-    r_values = _sweep_axis("r-points", lo, hi, points)
     reports = squeezing_sweep(r_values, pixel_count=pixels, config=config)
     _write_table(out, _FIDELITY_HEADER, [_fidelity_row(rep) for rep in reports])
     return 0
@@ -516,6 +511,13 @@ def main(argv: list[str] | None = None) -> int:
         params = _merge_params(args.command, args)
         code = _COMMANDS[args.command](params, args.out)
         _write_sidecar(args.out, args.command, params)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader is gone, as with `| head`: nothing is left to report
+        # to.  Point stdout at devnull so that the flush at exit cannot
+        # raise again, and exit as a process killed by SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,8 +11,7 @@ spin modes drives F_av toward 1.
 The coefficients c and their realify'd rows are built once per
 ProtocolConfig (protocol_noise); per squeezing r, squeezing_sweep forms one
 2x6 S Sigma S^T.  Pixels are independent, so a covariance is one variance
-per quadrature and log det is N (log1p(var_x) + log1p(var_p)), whatever N;
-only explicitly given (correlated) N x N matrices are factored.
+per quadrature and log det is N (log1p(var_x) + log1p(var_p)), whatever N.
 """
 
 from __future__ import annotations
@@ -50,70 +49,49 @@ def check_pixel_count(name: str, value) -> int:
 
 
 class PixelNoiseModel:
-    """Noise quadrature covariances over N pixellized transverse modes.
+    """Noise quadrature covariances over N independent pixellized transverse modes.
 
-    Each of cov_x and cov_p is either a scalar variance, meaning that
-    variance times the N x N identity (independent pixels), or an explicit
-    N x N matrix (correlated pixels).  A scalar must be >= 0; it may be
-    infinite (the antisqueezed partner of an ideal squeeze), which gives
-    zero fidelity.  A matrix must be finite, symmetric and positive
-    semidefinite.  Reading cov_x or cov_p always gives the N x N matrix,
-    built on demand for a scalar; log_det never builds it.
+    Each of cov_x and cov_p is a scalar variance, meaning that variance
+    times the N x N identity.  It must be >= 0; it may be infinite (the
+    antisqueezed partner of an ideal squeeze), which gives zero fidelity.
+    Reading cov_x or cov_p builds the N x N matrix; log_det never builds it.
     """
 
     def __init__(self, pixel_count: int, cov_x, cov_p):
         self.pixel_count = check_pixel_count("pixel_count", pixel_count)
-        self._cov_x = _checked_covariance("cov_x", cov_x, self.pixel_count)
-        self._cov_p = _checked_covariance("cov_p", cov_p, self.pixel_count)
+        self._var_x = _checked_variance("cov_x", cov_x)
+        self._var_p = _checked_variance("cov_p", cov_p)
 
     @property
     def cov_x(self) -> np.ndarray:
-        return _as_matrix(self._cov_x, self.pixel_count)
+        return _as_matrix(self._var_x, self.pixel_count)
 
     @property
     def cov_p(self) -> np.ndarray:
-        return _as_matrix(self._cov_p, self.pixel_count)
+        return _as_matrix(self._var_p, self.pixel_count)
 
     def log_det(self) -> float:
         """log det(I + C^X) + log det(I + C^P)."""
         n = self.pixel_count
-        return _log_det_one_plus(self._cov_x, n) + _log_det_one_plus(self._cov_p, n)
+        return n * math.log1p(self._var_x) + n * math.log1p(self._var_p)
 
 
-def _checked_covariance(name: str, cov, n: int) -> float | np.ndarray:
-    """A validated scalar variance (as a float) or N x N matrix."""
-    if np.ndim(cov) == 0:
-        var = float(cov)
-        # written so that NaN fails too
-        if not var >= 0:
-            raise ValueError(f"{name} must be a variance >= 0, got {var}")
-        return var
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (n, n):
-        raise ValueError(f"{name} must be a scalar or {n}x{n}")
-    if not np.all(np.isfinite(cov)):
-        raise ValueError(f"{name} must be finite")
-    if not np.allclose(cov, cov.T):
-        raise ValueError(f"{name} must be symmetric")
-    if np.min(np.linalg.eigvalsh(cov)) < -1e-12:
-        raise ValueError(f"{name} must be positive semidefinite")
-    return cov
+def _checked_variance(name: str, var) -> float:
+    """var as a float variance >= 0, or a ValueError naming the field."""
+    if np.ndim(var) != 0:
+        raise ValueError(f"{name} must be a scalar variance, got shape {np.shape(var)}")
+    var = float(var)
+    # written so that NaN fails too
+    if not var >= 0:
+        raise ValueError(f"{name} must be a variance >= 0, got {var}")
+    return var
 
 
-def _as_matrix(cov: float | np.ndarray, n: int) -> np.ndarray:
-    if isinstance(cov, np.ndarray):
-        return cov
-    # fill_diagonal, not cov * eye: 0 * inf off the diagonal would be NaN
+def _as_matrix(var: float, n: int) -> np.ndarray:
+    # fill_diagonal, not var * eye: 0 * inf off the diagonal would be NaN
     matrix = np.zeros((n, n))
-    np.fill_diagonal(matrix, cov)
+    np.fill_diagonal(matrix, var)
     return matrix
-
-
-def _log_det_one_plus(cov: float | np.ndarray, n: int) -> float:
-    """log det(I + C) for an N x N covariance C."""
-    if isinstance(cov, np.ndarray):
-        return float(np.linalg.slogdet(np.eye(n) + cov)[1])
-    return n * math.log1p(cov)
 
 
 @dataclass(frozen=True)
@@ -199,7 +177,7 @@ def squeezing_sweep(
     noise = protocol_noise(config)
     reports = []
     for r in r_values:
-        # with_squeezing's variance on all six noise quadratures; no partner is in the row
+        # the squeezed variance on all six noise quadratures; no conjugate partner is in the row
         model = _pixel_model(noise, np.full(6, squeezed_variance(r)), pixel_count)
         reports.append(fidelity_from_covariance(model, squeezing_r=float(r)))
     return reports

@@ -12,22 +12,33 @@ time, with a Filon cumulative sum per source integral and a projector
 solved against every grid point.  The package gets commutators from the
 symplectic form and noise variances from S Sigma S^T; the complex
 commutator pairing and the hand-derived noise sums it once used are kept
-here as the references for both.  The oracle comparison as first written,
-masked division and an entry-by-entry scan for the largest deviations,
-is the reference its vectorized report must reproduce bit for bit.  The
-grating overlap of two Legendre modes is given here in closed form, as the
-exact value the oracle's seeds converge to.
+here as the references for both.  The squeezing sweep builds no spin spec
+per r; the general squeezed spec it must match bit for bit is kept here.
+The oracle comparison as first written, masked division and an
+entry-by-entry scan for the largest deviations, is the reference its
+vectorized report must reproduce bit for bit.  The grating overlap of two
+Legendre modes is given here in closed form, as the exact value the
+oracle's seeds converge to.
 """
 
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
 from scipy.special import spherical_jn
 
 from holomem import basis
-from holomem.algebra import CovarianceSpec, LinearInOutMap, ModeLabel, light, spin_p, spin_x
+from holomem.algebra import (
+    VACUUM_VARIANCE,
+    CovarianceSpec,
+    LinearInOutMap,
+    ModeLabel,
+    light,
+    spin_p,
+    spin_x,
+    squeezed_variance,
+)
 from holomem.basis import simpson_weights
 from holomem.oracle import ComparisonReport, _carrier_segment_weights
 
@@ -121,6 +132,23 @@ def noise_coefficients() -> dict[ModeLabel, complex]:
 def squeezed_average_fidelity(r: float) -> float:
     """Closed-form per-pixel fidelity with the three noise modes squeezed."""
     return 1.0 / (1.0 + (11.0 / 60.0) * np.exp(-2.0 * r))
+
+
+def with_squeezing(labels: Iterable[ModeLabel], r: float) -> CovarianceSpec:
+    """Squeeze both quadratures of each given mode to (1/2) e^{-2r} (squeezed_variance).
+
+    The conjugate partners are antisqueezed to (1/2) e^{+2r}, a physical Gaussian state.
+    """
+    sq = squeezed_variance(r)
+    with np.errstate(over="ignore"):  # past r ~ 354.9 the antisqueezing is inf
+        anti = VACUUM_VARIANCE * np.exp(2 * r)
+    variances: dict[ModeLabel, tuple[float, float]] = {}
+    for lab in labels:
+        variances[lab] = (sq, sq)
+        partner = lab.conjugate_partner()
+        if partner is not None:
+            variances[partner] = (anti, anti)
+    return CovarianceSpec(variances=variances)
 
 
 class CommutatorTable:

@@ -330,7 +330,7 @@ def test_covariance_spec_validation():
     with pytest.raises(ValueError, match="below 1/4"):
         CovarianceSpec(variances={spin_x(0): (0.1, 0.1)})
     # with_squeezing antisqueezes the partner automatically
-    spec = CovarianceSpec.with_squeezing([spin_x(0)], r=1.0)
+    spec = reference.with_squeezing([spin_x(0)], r=1.0)
     vr, vi = spec.variance_pair(spin_p(0))
     assert vr == pytest.approx(0.5 * np.exp(2.0))
     # zero variance is the ideal-squeezing limit and is admitted
@@ -338,7 +338,7 @@ def test_covariance_spec_validation():
     with pytest.raises(ValueError, match="NaN"):
         CovarianceSpec(variances={spin_x(0): (np.nan, 0.5)})
     with pytest.raises(ValueError, match="finite"):
-        CovarianceSpec.with_squeezing([spin_x(0)], r=np.nan)
+        reference.with_squeezing([spin_x(0)], r=np.nan)
 
 
 SPIN_LABELS = st.builds(
@@ -353,7 +353,7 @@ SPIN_LABELS = st.builds(
 )
 def test_with_squeezing_accepts_every_finite_nonnegative_r(r, labels):
     # the sweep in holomem.fidelity builds no spec per r, relying on this
-    spec = CovarianceSpec.with_squeezing(labels, r)
+    spec = reference.with_squeezing(labels, r)
     sq = algebra.squeezed_variance(r)
     for label in labels:
         if label.conjugate_partner() not in labels:

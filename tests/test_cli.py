@@ -295,6 +295,26 @@ def test_validation_errors_exit_1(capsys):
     assert code == 1 and err == "error: kappa-points is too large: Maximum allowed size exceeded\n"
     code, _, err = run(capsys, "squeeze-sweep", "--r-points", str(10**30))
     assert code == 1 and err == "error: r-points is too large: Maximum allowed size exceeded\n"
+    # a sweep axis names the flags of the rule it breaks
+    code, _, err = run(capsys, "squeeze-sweep", "--r-points", "1")
+    assert code == 1 and err == "error: r-points must be at least 2\n"
+    code, _, err = run(capsys, "sweep-kappa", "--kappa-min", "2", "--kappa-max", "1")
+    assert code == 1 and err == "error: kappa-min and kappa-max must satisfy 0 <= min <= max\n"
+
+
+def test_closed_stdout_pipe_exits_141_silently():
+    # a reader that is gone is no invalid parameter: exit as SIGPIPE would, printing nothing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(holomem.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "holomem.cli", "maps"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ import reference
 
 def squeezed_spec(noise, r):
     """Both quadratures of the three noise modes squeezed by r, their partners antisqueezed."""
-    return CovarianceSpec.with_squeezing([label for label, _ in noise.items()], r)
+    return reference.with_squeezing([label for label, _ in noise.items()], r)
 
 
 def test_vacuum_covariance_is_eleven_sixtieths():
@@ -92,14 +92,6 @@ def test_infinite_variance_gives_zero_fidelity_without_warning():
 def test_pixel_noise_model_validation():
     with pytest.raises(ValueError):
         PixelNoiseModel(pixel_count=0, cov_x=np.zeros((0, 0)), cov_p=np.zeros((0, 0)))
-    with pytest.raises(ValueError, match="symmetric"):
-        PixelNoiseModel(
-            pixel_count=2,
-            cov_x=np.array([[1.0, 0.2], [0.0, 1.0]]),
-            cov_p=np.eye(2),
-        )
-    with pytest.raises(ValueError, match="semidefinite"):
-        PixelNoiseModel(pixel_count=1, cov_x=np.array([[-0.1]]), cov_p=np.eye(1))
     with pytest.raises(ValueError, match="pixel_count"):
         PixelNoiseModel(pixel_count=10**330, cov_x=0.5, cov_p=0.5)
     with pytest.raises(ValueError, match="pixel_count must be >= 1"):
@@ -114,19 +106,17 @@ def test_pixel_noise_model_validation():
 
 
 @pytest.mark.parametrize(
-    "cov_x", [math.nan, -0.1, np.zeros((2, 3)), np.full((2, 2), math.nan)]
+    "cov_x",
+    [math.nan, -0.1, np.zeros((2, 3)), np.full((2, 2), math.nan), np.eye(2), np.zeros((2, 2))],
 )
 def test_pixel_noise_model_rejects_bad_cov_x(cov_x):
+    # one variance per quadrature: a matrix, even a valid diagonal one, is rejected
     with pytest.raises(ValueError, match="cov_x"):
         PixelNoiseModel(pixel_count=2, cov_x=cov_x, cov_p=0.5)
 
 
 def test_scalar_model_matches_explicit_identity_matrix():
     v = 11 / 60
-    scalar = fidelity_from_covariance(PixelNoiseModel(5, v, v))
-    matrix = fidelity_from_covariance(PixelNoiseModel(5, v * np.eye(5), v * np.eye(5)))
-    assert_allclose(scalar.f_n, matrix.f_n, rtol=1e-13)
-    assert_allclose(scalar.f_av, matrix.f_av, rtol=1e-13)
     assert_allclose(PixelNoiseModel(5, v, v).cov_x, v * np.eye(5), rtol=0, atol=0)
 
 
@@ -138,7 +128,7 @@ def test_single_pixel_vacuum_fidelity():
 
 
 def test_zero_covariance_gives_unit_fidelity():
-    model = PixelNoiseModel(pixel_count=2, cov_x=np.zeros((2, 2)), cov_p=np.zeros((2, 2)))
+    model = PixelNoiseModel(pixel_count=2, cov_x=0.0, cov_p=0.0)
     assert fidelity_from_covariance(model).f_n == 1.0
 
 
@@ -167,20 +157,9 @@ def test_million_pixel_vacuum_fidelity_builds_no_pixel_matrix():
     assert peak < 1_000_000
 
 
-def test_determinant_reduces_to_product_for_diagonal_covariance():
-    rng = np.random.default_rng(3)
-    diag = rng.uniform(0.0, 1.0, size=5)
-    model = PixelNoiseModel(pixel_count=5, cov_x=np.diag(diag), cov_p=np.diag(diag))
-    expected = float(np.prod(1.0 / (1.0 + diag)))
-    assert_allclose(fidelity_from_covariance(model).f_n, expected, rtol=1e-12)
-
-
 def test_fidelity_decreases_with_added_noise():
-    base = np.diag([0.2, 0.2, 0.2])
-    bumped = base.copy()
-    bumped[1, 1] += 0.05
-    f_base = fidelity_from_covariance(PixelNoiseModel(3, base, base)).f_av
-    f_bumped = fidelity_from_covariance(PixelNoiseModel(3, bumped, base)).f_av
+    f_base = fidelity_from_covariance(PixelNoiseModel(3, 0.2, 0.2)).f_av
+    f_bumped = fidelity_from_covariance(PixelNoiseModel(3, 0.25, 0.2)).f_av
     assert f_bumped < f_base
 
 
@@ -271,7 +250,7 @@ def test_squeezing_sweep_is_the_general_route_bit_for_bit(order_max, extra_r):
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -1e-300, -2.0])
 def test_squeezing_sweep_rejects_bad_r_as_with_squeezing_does(r):
     with pytest.raises(ValueError) as expected:
-        CovarianceSpec.with_squeezing([spin_x(1)], r)
+        reference.with_squeezing([spin_x(1)], r)
     with pytest.raises(ValueError) as raised:
         squeezing_sweep([0.5, r])
     assert str(raised.value) == str(expected.value)
