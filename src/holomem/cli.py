@@ -16,7 +16,6 @@ serialized as re/im pairs.  Exit codes: 0 success, 1 invalid parameters,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -24,6 +23,8 @@ import os
 import stat
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,6 +48,9 @@ from .protocol import (
     require_finite,
     single_pass,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 COMMENT = (
     "# conventions: kappa is the dimensionless coupling of one pass "
@@ -112,8 +116,9 @@ def _write_file(path: str | None, text: str) -> None:
     No O_TRUNC: ext4 flushes a file truncated to zero when it is closed
     (auto_da_alloc), and that flush costs more than the rest of a small
     command; renaming a temporary file over the path triggers it too.
-    Devices and FIFOs are written as a stream and never truncated.  If the
-    write fails, a regular file is cut to zero, so no stale tail of the old
+    Devices and FIFOs are written as a stream and never truncated, and a
+    regular file only when it was longer than the new bytes.  If the write
+    fails, a regular file is cut to zero, so no stale tail of the old
     contents survives.
     """
     if path is None:
@@ -122,7 +127,8 @@ def _write_file(path: str | None, text: str) -> None:
     data = text.encode()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
         try:
             view = memoryview(data)
             while view:
@@ -131,7 +137,7 @@ def _write_file(path: str | None, text: str) -> None:
             if regular:
                 os.ftruncate(fd, 0)
             raise
-        if regular:
+        if regular and info.st_size > len(data):
             os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
@@ -216,7 +222,7 @@ def _check_config_value(key: str, value, flag_type: type) -> None:
         raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
-def _merge_params(command: str, args: argparse.Namespace) -> dict:
+def _merge_params(command: str, args: SimpleNamespace) -> dict:
     """defaults < config file < explicit command-line flags.
 
     Every default has its flag's type, so config values are checked against
@@ -453,30 +459,43 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
-@functools.cache  # parse_args leaves a parser unchanged, so one serves every call
-def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each command's subparser by name.
+@functools.cache
+def _flags(command: str) -> dict[str, tuple[str, type, str | None]]:
+    """Each flag of command, in --help order, as flag: (destination, type, help).
 
     Each DEFAULTS key is a flag of its default's type; an unset flag is
     None, so _merge_params can tell it from an explicit value.
     """
+    flags = {
+        "--" + key.replace("_", "-"): (key, type(default), _PARAMETER_HELP.get(key))
+        for key, default in DEFAULTS[command].items()
+    }
+    flags["--out"] = ("out", str, "output file (CSV or JSON)")
+    flags["--config"] = ("config", str, "flat JSON config file")
+    if command == "oracle-verify":
+        # Ignored, since the pass is exact in time, but still accepted: the
+        # benchmark's oracle-verify workload passes it (bench/workloads.py).
+        # Its help is argparse.SUPPRESS, which leaves it out of --help.
+        flags["--t-steps"] = ("t_steps", int, "==SUPPRESS==")
+    return flags
+
+
+@functools.cache  # parse_args leaves a parser unchanged, so one serves every call
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's subparser by name, built from _flags."""
+    import argparse  # only --help and argument errors get here
+
     parser = argparse.ArgumentParser(
         prog="holomem",
         description="double-pass volume-hologram memory: maps, fidelity, oracle checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, defaults in DEFAULTS.items():
+    for command in DEFAULTS:
         p = sub.add_parser(command, help=_COMMAND_HELP[command])
-        for key, default in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            p.add_argument(flag, type=type(default), default=None, help=_PARAMETER_HELP.get(key))
-        p.add_argument("--out", type=str, default=None, help="output file (CSV or JSON)")
-        p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-    # Ignored, since the pass is exact in time, but still accepted: the
-    # benchmark's oracle-verify workload passes it (bench/workloads.py).
-    sub.choices["oracle-verify"].add_argument(
-        "--t-steps", type=int, default=None, help=argparse.SUPPRESS
-    )
+        for flag, (_, flag_type, text) in _flags(command).items():
+            if text == argparse.SUPPRESS:  # which argparse tests for by identity
+                text = argparse.SUPPRESS
+            p.add_argument(flag, type=flag_type, default=None, help=text)
     return parser, sub.choices
 
 
@@ -489,20 +508,37 @@ _COMMANDS = {
 }
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> SimpleNamespace:
     """argv parsed as build_parser() parses it.
 
-    An argv that starts with a command goes straight to that command's
-    subparser: the top-level parser would only hand it on, at the cost of a
-    second parse.  An unknown flag is then reported in the subparser's usage
-    line ("holomem oracle-verify"), not the top-level one.
+    A command followed by `flag value` pairs, each flag spelled out in full
+    and no value starting with "-", is read from _flags alone: on such an
+    argv argparse takes the exact option, takes each value as it stands,
+    applies the flag's type and keeps the last of a repeated flag, so the
+    result is the same.  Any other argv, and a value its type rejects, goes
+    to argparse for help or the error.  An argv that starts with a command
+    goes straight to that command's subparser: the top-level parser would
+    only hand it on.  An unknown flag is then reported in the subparser's
+    usage line ("holomem oracle-verify"), not the top-level one.
     """
+    command = argv[0] if argv else None
+    if command in DEFAULTS and len(argv) % 2:
+        flags = _flags(command)
+        values = {dest: None for dest, _, _ in flags.values()}
+        try:
+            for flag, text in zip(argv[1::2], argv[2::2]):
+                dest, flag_type, _ = flags[flag]
+                if text.startswith("-"):
+                    break
+                values[dest] = flag_type(text)
+            else:
+                return SimpleNamespace(command=command, **values)
+        except (KeyError, ValueError):
+            pass
     parser, commands = _parsers()
-    if not (argv and argv[0] in commands):
-        return parser.parse_args(argv)
-    args = commands[argv[0]].parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+    if command not in commands:
+        return SimpleNamespace(**vars(parser.parse_args(argv)))
+    return SimpleNamespace(command=command, **vars(commands[command].parse_args(argv[1:])))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -67,6 +67,11 @@ from .protocol import check_parameters, cycle_from_write, double_pass, finite
 # z points per chunk of the pass-map sums: the sweep's transient memory is
 # O(order_max * _Z_CHUNK), however fine the grid.
 _Z_CHUNK = 1024
+# Most samples (order_max + 1) x z points of the basis on a grid refined
+# once, as oracle-verify extracts it: this table, 134 MB at the cap, and the
+# requested grid's are held at once (about 0.4 GB peak at the cap).  Order
+# 60 at 10^3 periods and 40 points per period takes 4.9 million.
+_MAX_BASIS_SAMPLES = 2**24
 # Analytic coefficients at or below this count as zero in compare.
 ZERO_THRESHOLD = 1e-9
 
@@ -108,6 +113,13 @@ class OracleGrid:
             raise ValueError(
                 f"z resolution too coarse: {per_period:.1f} points per grating "
                 f"period, need >= {MIN_POINTS_PER_PERIOD}"
+            )
+        samples = (self.order_max + 1) * (2 * self.z_points - 1)
+        if samples > _MAX_BASIS_SAMPLES:
+            raise ValueError(
+                f"z grid too large: {self.periods:g} grating-periods on {self.z_points:.3g} z "
+                f"points at order_max {self.order_max} need {samples:.3g} basis samples "
+                f"refined once, more than {_MAX_BASIS_SAMPLES}"
             )
 
     @property

@@ -390,8 +390,8 @@ def test_kappa_past_float_range_exits_1(tmp_path, capsys, argv):
 
 
 def test_grid_past_the_address_space_exits_1(tmp_path, capsys):
-    # 4e13 z points: numpy refuses the allocation at once (291 TiB); past
-    # the float range the z point count is infinite
+    # 4e13 z points: the grid's size cap rejects it before any allocation;
+    # past the float range the z point count is infinite
     out_file = tmp_path / "oracle.json"
     for periods in ("1e12", "1e307"):
         code, out, err = run(
@@ -401,6 +401,20 @@ def test_grid_past_the_address_space_exits_1(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("periods", ["1e300", "1e7"])
+def test_oversized_z_grid_is_rejected_naming_grating_periods(tmp_path, capsys, periods):
+    # 4e301 and 4e8 z points: the size is checked by arithmetic alone,
+    # before the basis table (tens of GB at 1e7 periods) is allocated
+    out_file = tmp_path / "oracle.json"
+    code, out, err = run(
+        capsys, "oracle-verify", "--grating-periods", periods, "--out", str(out_file)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: z grid too large") and err.count("\n") == 1
+    assert "grating-periods" in err
+    assert not out_file.exists()
 
 
 def _reject_constant(token):
@@ -674,6 +688,24 @@ def test_shorter_output_overwrites_longer_files_exactly(tmp_path, capsys, argv, 
         assert (reused / f"{name}{suffix}").read_bytes() == expected
 
 
+def test_rewriting_a_file_of_the_same_length_skips_the_truncate(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "out.csv"
+    argv = ["fidelity", "--pixels", "3", "--out", str(out_file)]
+    assert run(capsys, *argv)[0] == 0
+    first = out_file.read_bytes()
+    cuts = []
+    real_ftruncate = os.ftruncate
+
+    def spy(fd, length):
+        cuts.append(length)
+        real_ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", spy)
+    assert run(capsys, *argv)[0] == 0
+    assert cuts == []
+    assert out_file.read_bytes() == first
+
+
 def test_symlinked_out_writes_through_the_link(tmp_path, capsys):
     reference_file = tmp_path / "reference.csv"
     assert run(capsys, "fidelity", "--pixels", "3", "--out", str(reference_file))[0] == 0
@@ -846,6 +878,12 @@ def test_help_exits_0_with_its_usage(capsys, argv, usage):
     assert capsys.readouterr().out.startswith(usage)
 
 
+def test_hidden_flag_stays_out_of_help(capsys):
+    with pytest.raises(SystemExit):
+        main(["oracle-verify", "--help"])
+    assert "t-steps" not in capsys.readouterr().out
+
+
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["holomem", "fidelity", "--pixels", "3"])
     assert main(None) == 0
@@ -862,5 +900,32 @@ def test_command_subparser_parses_as_the_top_level_parser(command):
         "oracle-verify": ["--grating-periods", "100", "--z-per-period", "40", "--t-steps", "200",
                           "--tolerance", "0.01", "--kappa", "1.05"],
     }[command]
-    for argv in ([command], [command, *flags]):
-        assert vars(_parse_args(argv)) == vars(build_parser().parse_args(argv))
+    # Abbreviated, joined, negative, repeated, empty and "-" values: only
+    # some are read from the flag table, the rest go to argparse.
+    edge_cases = {
+        "maps": [["--kappa", "-1"], ["--out", "-"]],
+        "fidelity": [["--pix", "3"], ["--pixels=3"], ["--pixels", "2", "--pixels", "3"],
+                     ["--out", ""]],
+        "sweep-kappa": [["--kappa-min", "-1", "--out", ""]],
+        "squeeze-sweep": [["--pixels=3", "--pix", "4"], ["--config", "-"]],
+        "oracle-verify": [["--kappa", "-1"], ["--t-steps", "2", "--t-steps", "3"]],
+    }[command]
+    for argv in ([command], [command, *flags], *([command, *case] for case in edge_cases)):
+        assert vars(_parse_args(argv)) == vars(build_parser().parse_args(argv)), argv
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--pixels", "many"], ["--pixels"], ["--pixels", "1e3"], ["--bogus", "1"],
+     ["--kappa", "1", "--pixels"]],
+    ids=["not-an-int", "trailing-flag", "float-text", "unknown-flag", "trailing-after-pair"],
+)
+def test_rejected_argv_exits_2_with_the_subparsers_error(capsys, flags):
+    subparsers = next(action for action in build_parser()._actions if action.dest == "command")
+    with pytest.raises(SystemExit) as expected:
+        subparsers.choices["fidelity"].parse_args(flags)
+    reference = capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", *flags])
+    assert exc.value.code == expected.value.code == 2
+    assert capsys.readouterr().err == reference

@@ -71,6 +71,15 @@ def test_grid_validation():
         OracleGrid(order_max=10**400)
 
 
+def test_grid_size_is_capped_before_anything_is_allocated():
+    # (order_max + 1) x z points of the once-refined grid, checked by
+    # arithmetic: order 60 at 10^3 periods fits, 10^7 and 10^300 do not
+    assert OracleGrid(grating_phase=2 * np.pi * 1e3, order_max=60).z_points == 40001
+    for periods in (1e7, 1e300):
+        with pytest.raises(ValueError, match="z grid too large: .* grating-periods"):
+            OracleGrid(grating_phase=2 * np.pi * periods, order_max=60)
+
+
 def test_grid_has_no_scale_fields():
     # the oracle works on the unit cell and a unit pulse: kappa and the
     # grating phase carry the cell length and the pulse duration

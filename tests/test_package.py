@@ -88,3 +88,26 @@ def test_only_oracle_verify_loads_the_oracle(tmp_path):
     printed, loaded = _fresh(code, cwd=tmp_path)
     assert printed[0] == "oracle loaded: False"
     assert "holomem.oracle" in loaded
+
+
+def test_canonical_commands_never_load_argparse(tmp_path):
+    # argparse serves only --help and argument errors; these are the
+    # README invocations
+    code = (
+        "import sys\n"
+        "from holomem.cli import main\n"
+        "for argv in (['maps', '--kappa', '1.0'],\n"
+        "             ['fidelity', '--pixels', '10', '--squeeze-r', '0.5'],\n"
+        "             ['sweep-kappa', '--kappa-min', '0', '--kappa-max', '1.4'],\n"
+        "             ['squeeze-sweep', '--r-min', '0', '--r-max', '10', '--r-points', '101'],\n"
+        "             ['oracle-verify', '--grating-periods', '100', '--z-per-period', '40',\n"
+        "              '--tolerance', '0.01']):\n"
+        "    assert main([*argv, '--out', 'run.out']) == 0, argv\n"
+        "print('argparse loaded:', 'argparse' in sys.modules)\n"
+        "try:\n    main(['fidelity', '--help'])\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+        "print('argparse loaded:', 'argparse' in sys.modules)"
+    )
+    printed, _ = _fresh(code, cwd=tmp_path)
+    loaded = [line for line in printed if line.startswith("argparse loaded:")]
+    assert loaded == ["argparse loaded: False", "argparse loaded: True"]

@@ -1,9 +1,11 @@
-"""SHA-256 of every output of nineteen reference holomem CLI runs.
+"""SHA-256 of every output of twenty-two reference holomem CLI runs.
 
 Each invocation runs in a fresh `python -m holomem.cli` process, from the
 `src` directory of the checkout given as the only argument (by default the
-one holding this script), with `COLUMNS=80`.  Thirteen compute runs have
-`--out` set; the other six print the parser texts, which are built from
+one holding this script), with `COLUMNS=80`.  Sixteen runs have `--out`
+set: thirteen compute runs, then three argvs that argparse reads (a
+joined abbreviation, a negative value that exits 1, and an invalid integer
+that exits 2).  The other six print the parser texts, which are built from
 the CLI's defaults: `holomem --help` and each command's `--help`.  One
 line is printed per output: the digest, the invocation's number, its exit
 code, and which output it is (data file, `.meta.json` sidecar, stdout,
@@ -29,7 +31,8 @@ from pathlib import Path
 # The five README invocations, then the larger cases: order 60, a sweep at
 # order 30, oracle grids at other orders, couplings and periods, the
 # cached noise route at order 60, 10^6 pixels and squeezing r = 10, and a
-# few-layer oracle grid, whose note goes to stderr.
+# few-layer oracle grid, whose note goes to stderr.  The last three take
+# argparse's route rather than the flag table's.
 INVOCATIONS = (
     ("maps", "--kappa", "1.0"),
     ("fidelity", "--pixels", "10", "--squeeze-r", "0.5"),
@@ -44,6 +47,9 @@ INVOCATIONS = (
     ("fidelity", "--order-max", "60", "--pixels", "1000000", "--squeeze-r", "10"),
     ("squeeze-sweep", "--order-max", "30", "--pixels", "1000000"),
     ("oracle-verify", "--grating-periods", "10", "--z-per-period", "20", "--tolerance", "0.5"),
+    ("fidelity", "--pix=3"),
+    ("maps", "--kappa", "-0.5"),
+    ("fidelity", "--pixels", "many"),
 )
 COMMANDS = ("maps", "fidelity", "sweep-kappa", "squeeze-sweep", "oracle-verify")
 HELP_INVOCATIONS = (("--help",), *((command, "--help") for command in COMMANDS))
