@@ -101,7 +101,9 @@ def z_points(periods: float, per_period: int) -> int:
     """Points of a z grid at per_period per grating period, with an even interval count."""
     span = per_period * periods
     if not math.isfinite(span):
-        raise ValueError(f"z grid too large: {per_period} points per period, {periods:g} periods")
+        raise ValueError(
+            f"z grid too large: {periods:g} grating-periods at {per_period} points per period"
+        )
     intervals = math.ceil(span)
     return intervals + intervals % 2 + 1
 

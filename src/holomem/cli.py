@@ -483,7 +483,7 @@ def _flags(command: str) -> dict[str, tuple[str, type, str | None]]:
 @functools.cache  # parse_args leaves a parser unchanged, so one serves every call
 def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser, and each command's subparser by name, built from _flags."""
-    import argparse  # only --help and argument errors get here
+    import argparse  # only what _parse_args cannot read itself, and build_parser(), need it
 
     parser = argparse.ArgumentParser(
         prog="holomem",
@@ -511,15 +511,14 @@ _COMMANDS = {
 def _parse_args(argv: list[str]) -> SimpleNamespace:
     """argv parsed as build_parser() parses it.
 
-    A command followed by `flag value` pairs, each flag spelled out in full
-    and no value starting with "-", is read from _flags alone: on such an
-    argv argparse takes the exact option, takes each value as it stands,
-    applies the flag's type and keeps the last of a repeated flag, so the
-    result is the same.  Any other argv, and a value its type rejects, goes
-    to argparse for help or the error.  An argv that starts with a command
-    goes straight to that command's subparser: the top-level parser would
-    only hand it on.  An unknown flag is then reported in the subparser's
-    usage line ("holomem oracle-verify"), not the top-level one.
+    A command and then `flag value` pairs, each flag spelled out in full
+    and no value starting with "-", is read from _flags alone: argparse
+    would take the exact option and the value as it stands, apply the same
+    type and keep the last of a repeated flag.  Any other argv, or a value
+    its type rejects, goes to argparse, for help or the error.  An argv
+    that starts with a command goes straight to that command's subparser,
+    so an unknown flag is reported in its usage line ("holomem
+    oracle-verify"), not the top-level one.
     """
     command = argv[0] if argv else None
     if command in DEFAULTS and len(argv) % 2:

@@ -390,31 +390,19 @@ def test_kappa_past_float_range_exits_1(tmp_path, capsys, argv):
 
 
 def test_grid_past_the_address_space_exits_1(tmp_path, capsys):
-    # 4e13 z points: the grid's size cap rejects it before any allocation;
-    # past the float range the z point count is infinite
+    # 4e8 to 4e301 z points: the grid's size cap rejects them by arithmetic,
+    # before the basis table (tens of GB at 1e7 periods) is allocated; past
+    # the float range the z point count is infinite
     out_file = tmp_path / "oracle.json"
-    for periods in ("1e12", "1e307"):
+    for periods in ("1e7", "1e12", "1e300", "1e307"):
         code, out, err = run(
             capsys, "oracle-verify", "--grating-periods", periods, "--out", str(out_file)
         )
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: z grid too large: ") and err.count("\n") == 1
+        assert "grating-periods" in err
         assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("periods", ["1e300", "1e7"])
-def test_oversized_z_grid_is_rejected_naming_grating_periods(tmp_path, capsys, periods):
-    # 4e301 and 4e8 z points: the size is checked by arithmetic alone,
-    # before the basis table (tens of GB at 1e7 periods) is allocated
-    out_file = tmp_path / "oracle.json"
-    code, out, err = run(
-        capsys, "oracle-verify", "--grating-periods", periods, "--out", str(out_file)
-    )
-    assert (code, out) == (1, "")
-    assert err.startswith("error: z grid too large") and err.count("\n") == 1
-    assert "grating-periods" in err
-    assert not out_file.exists()
 
 
 def _reject_constant(token):
@@ -875,13 +863,9 @@ def test_help_exits_0_with_its_usage(capsys, argv, usage):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith(usage)
-
-
-def test_hidden_flag_stays_out_of_help(capsys):
-    with pytest.raises(SystemExit):
-        main(["oracle-verify", "--help"])
-    assert "t-steps" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith(usage)
+    assert "t-steps" not in out  # accepted, but hidden
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
