@@ -46,6 +46,7 @@ from .protocol import (
     finite,
     full_cycle,
     require_finite,
+    retrieval_cycle,
     single_pass,
 )
 
@@ -341,11 +342,10 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     rows = []
     powers = []
     for kappa in kappas:
+        cycle = retrieval_cycle(ProtocolConfig(kappa=float(kappa), order_max=order_max))
+        row_coeffs = cycle.coefficients[cycle.out_index(light("R"))]
         with np.errstate(all="ignore"):
-            cycle = full_cycle(ProtocolConfig(kappa=float(kappa), order_max=order_max))
-            row_coeffs = cycle.coefficients[cycle.out_index(light("R"))]
             weights = np.abs(row_coeffs) ** 2
-        require_finite("full_cycle map", cycle.coefficients, float(kappa))
         signal = cycle.in_index(light("W"))
         gain, power = complex(row_coeffs[signal]), float(weights[signal])
         noise_var = VACUUM_VARIANCE * sum(float(w) for i, w in enumerate(weights) if i != signal)

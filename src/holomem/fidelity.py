@@ -8,10 +8,11 @@ Vacuum spins give C^X = C^P = (11/60) I, hence F_av = 60/71 ~ 0.845, above
 the classical benchmark 1/2 and the cloning limit 2/3; squeezing the three
 spin modes drives F_av toward 1.
 
-The coefficients c and their realify'd rows are built once per
-ProtocolConfig (protocol_noise); per squeezing r, squeezing_sweep forms one
-2x6 S Sigma S^T.  Pixels are independent, so a covariance is one variance
-per quadrature and log det is N (log1p(var_x) + log1p(var_p)), whatever N.
+The coefficients c and their realify'd rows come from a cycle of order 4 at
+most (protocol_noise, cached per ProtocolConfig); per squeezing r,
+squeezing_sweep forms one 2x6 S Sigma S^T.  Pixels are independent, so a
+covariance is one variance per quadrature and log det is
+N (log1p(var_x) + log1p(var_p)), whatever N.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import CovarianceSpec, squeezed_variance, transport_covariance
-from .protocol import NoiseCoefficients, ProtocolConfig, extract_noise, full_cycle, require_finite
+from .protocol import NoiseCoefficients, ProtocolConfig, extract_noise, retrieval_cycle
 
 CLASSICAL_BENCHMARK = 0.5
 CLONING_BENCHMARK = 2.0 / 3.0
@@ -153,15 +154,12 @@ def protocol_noise(config: ProtocolConfig = ProtocolConfig()) -> NoiseCoefficien
 
     kappa away from 1 and an overflowing kappa raise on every call.
     """
-    with np.errstate(all="ignore"):  # an overflow is reported once, by require_finite
-        cycle = full_cycle(config)
-    require_finite("full_cycle map", cycle.coefficients, config.kappa)
-    return extract_noise(cycle)
+    return extract_noise(retrieval_cycle(config))
 
 
-def vacuum_fidelity(pixel_count: int = 1, order_max: int = 4) -> FidelityReport:
+def vacuum_fidelity(pixel_count: int = 1) -> FidelityReport:
     """Fidelity with unsqueezed (vacuum) spins; F_av = 60/71."""
-    noise = protocol_noise(ProtocolConfig(order_max=order_max))
+    noise = protocol_noise(ProtocolConfig())
     model = noise_covariance(noise, CovarianceSpec.vacuum(), pixel_count)
     return fidelity_from_covariance(model)
 

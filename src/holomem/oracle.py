@@ -114,13 +114,7 @@ class OracleGrid:
                 f"z resolution too coarse: {per_period:.1f} points per grating "
                 f"period, need >= {MIN_POINTS_PER_PERIOD}"
             )
-        samples = (self.order_max + 1) * (2 * self.z_points - 1)
-        if samples > _MAX_BASIS_SAMPLES:
-            raise ValueError(
-                f"z grid too large: {self.periods:g} grating-periods on {self.z_points:.3g} z "
-                f"points at order_max {self.order_max} need {samples:.3g} basis samples "
-                f"refined once, more than {_MAX_BASIS_SAMPLES}"
-            )
+        self._check_size(1, f"{self.periods:g} grating-periods")
 
     @property
     def effective_phase(self) -> float:
@@ -133,6 +127,16 @@ class OracleGrid:
 
     def register(self) -> tuple[ModeLabel, ...]:
         return standard_register(self.order_max)
+
+    def _check_size(self, refinement_levels: int, name: str) -> None:
+        """A ValueError naming name unless the grid refined 2**refinement_levels times fits."""
+        samples = (self.order_max + 1) * ((self.z_points - 1) * 2**refinement_levels + 1)
+        if samples > _MAX_BASIS_SAMPLES:
+            raise ValueError(
+                f"z grid too large: {name} on {self.z_points:.3g} z points at order_max "
+                f"{self.order_max} need {samples:.3g} basis samples at refinement level "
+                f"{refinement_levels}, more than {_MAX_BASIS_SAMPLES}"
+            )
 
 
 def _carrier_segment_weights(phi: float) -> tuple[complex, complex]:
@@ -384,8 +388,9 @@ def extract_map(grid: OracleGrid, refinement_levels: int = 0) -> OracleResult:
 
     With refinement_levels > 0 the extraction is repeated on 2x, 4x, ...
     finer grids to measure convergence; the reported coefficients are those
-    of the requested grid.
+    of the requested grid; the finest grid must fit OracleGrid's size cap.
     """
+    grid._check_size(refinement_levels, f"refinement_levels {refinement_levels}")
     maps = prev = _pass_map(grid)
     ratios: list[float] = []
     order = None

@@ -227,6 +227,18 @@ def full_cycle(config: ProtocolConfig) -> LinearInOutMap:
     return cycle_from_write(double_pass_write(config, stage="W"), config.order_max)
 
 
+def retrieval_cycle(config: ProtocolConfig) -> LinearInOutMap:
+    """full_cycle at order min(order_max, 4), the default, checked finite, for its a@R row alone.
+
+    At any order that row reads spin orders 0-2 only: light touches only x_0
+    and p_0 in a pass, and Q moves one order per pass.
+    """
+    with np.errstate(all="ignore"):  # an overflow is reported once, by require_finite
+        cycle = full_cycle(ProtocolConfig(config.kappa, min(config.order_max, 4)))
+    require_finite("full_cycle map", cycle.coefficients, config.kappa)
+    return cycle
+
+
 def classical_single_pass_cycle(config: ProtocolConfig) -> LinearInOutMap:
     """Single-pass write and read with an interstage spin rotation.
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import holomem
+from holomem import protocol
 from holomem.cli import DEFAULTS, _json_text, _parse_args, build_parser, main
 from holomem.fidelity import protocol_noise
 
@@ -170,6 +171,48 @@ def test_sweep_kappa_and_fidelity_share_the_unit_gain_rule(capsys):
     assert row["f_av"] == "nan"
     code, _, err = run(capsys, "fidelity", "--kappa", "1.00001")
     assert code == 1 and "holds only at kappa = 1" in err
+
+
+def test_retrieved_light_commands_build_no_pass_above_order_4(tmp_path, capsys, monkeypatch):
+    # the row they read holds spin orders 0-2 at any order: a higher
+    # --order-max is validated, then changes neither a byte nor the work
+    orders = []
+    single_pass = protocol.single_pass
+
+    def spy(config, stage=""):
+        orders.append(config.order_max)
+        return single_pass(config, stage)
+
+    monkeypatch.setattr(protocol, "single_pass", spy)
+    protocol_noise.cache_clear()
+    for command, high in (("fidelity", "1000"), ("squeeze-sweep", "1000"), ("sweep-kappa", "200")):
+        outputs = []
+        for order in (high, "4"):
+            out_file = tmp_path / f"{command}-{order}.csv"
+            code, _, _ = run(capsys, command, "--order-max", order, "--out", str(out_file))
+            assert code == 0
+            outputs.append(out_file.read_bytes())
+        assert outputs[0] == outputs[1], command
+    assert max(orders) == 4
+
+
+def test_sweep_kappa_at_high_order_ignores_the_blas_thread_count(tmp_path, capsys):
+    # a dense order-100 cycle product moved last digits with the thread count
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(holomem.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        out_file = tmp_path / f"threads-{threads}.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "holomem.cli", "sweep-kappa", "--order-max", "100",
+             "--out", str(out_file)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out_file.read_bytes())
+    code, _, _ = run(capsys, "sweep-kappa", "--order-max", "4", "--out", str(tmp_path / "4.csv"))
+    assert code == 0
+    assert outputs == [(tmp_path / "4.csv").read_bytes()] * 2
 
 
 def test_sweep_kappa_rejects_empty_range(capsys):

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from holomem import algebra
+from holomem import algebra, oracle
 from holomem.algebra import light, realify, spin_p, spin_x
+from holomem.basis import sampled_basis
 from holomem.oracle import (
     _Z_CHUNK,
     _grid_blocks,
@@ -78,6 +79,19 @@ def test_grid_size_is_capped_before_anything_is_allocated():
     for periods in (1e7, 1e300):
         with pytest.raises(ValueError, match="z grid too large: .* grating-periods"):
             OracleGrid(grating_phase=2 * np.pi * periods, order_max=60)
+
+
+def test_refinement_levels_are_held_to_the_grid_size_cap(monkeypatch):
+    # order 60 at 2500 periods: 61 x 200001 = 12.2 million samples refined
+    # once fit, 61 x 400001 = 24.4 million refined twice do not, and the call
+    # is rejected by arithmetic before any table is built or z swept
+    grid = OracleGrid(grating_phase=2 * np.pi * 2500, order_max=60)
+    assert grid.z_points == 100001
+    caches = sampled_basis.cache_info(), _grid_blocks.cache_info()
+    monkeypatch.setattr(oracle, "_pass_map", None)  # a sweep would fail at once
+    with pytest.raises(ValueError, match="z grid too large: refinement_levels 2 .* level 2,"):
+        extract_map(grid, refinement_levels=2)
+    assert (sampled_basis.cache_info(), _grid_blocks.cache_info()) == caches
 
 
 def test_grid_has_no_scale_fields():

@@ -1,10 +1,12 @@
 """Property tests: physical invariants of the full cycle over random inputs.
 
 Hypothesis draws the coupling and the Legendre truncation (up to aim 3's
-order 60), the squeezing and the pixel count for the closed-form
-fidelity, the coupling, truncation and grating periods of the oracle's pass, random register pairs for map composition and embedding, and
-random complex maps for the two commutator routes; the draws are
-derandomized so the suite stays reproducible.
+order 60, and to 200 for the row of the retrieved light), the squeezing
+and the pixel count for the closed-form fidelity, the coupling,
+truncation and grating periods of the oracle's pass, random register
+pairs for map composition and embedding, and random complex maps for the
+two commutator routes; the draws are derandomized so the suite stays
+reproducible.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from holomem.algebra import (
+    CovarianceSpec,
     LinearInOutMap,
     ModeLabel,
     compose,
@@ -21,7 +24,9 @@ from holomem.algebra import (
     standard_register,
     symplectic_form,
 )
-from holomem.fidelity import squeezing_sweep
+from holomem.fidelity import (
+    fidelity_from_covariance, noise_covariance, protocol_noise, squeezing_sweep,
+)
 from holomem.oracle import OracleGrid, extract_map
 from holomem.protocol import ProtocolConfig, cycle_register, full_cycle
 
@@ -66,6 +71,35 @@ def test_squeezed_fidelity_follows_the_closed_form_at_any_pixel_count(r, pixels,
     config = ProtocolConfig(order_max=order_max)
     (report,) = squeezing_sweep([r], pixel_count=pixels, config=config)
     assert abs(report.f_av - 1 / (1 + 11 / 60 * np.exp(-2 * r))) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(kappa=st.floats(min_value=0.0, max_value=2.5), order_max=st.integers(3, 200))
+@example(kappa=1.0, order_max=200)
+@example(kappa=2.5, order_max=200)
+def test_retrieved_light_reads_spin_orders_up_to_2_at_any_order(kappa, order_max):
+    # light touches only x_0 and p_0 in a pass, and Q moves one order per
+    # pass: the a@R row is the order-4 row.  Past about order 60 its last
+    # bits follow the BLAS path of the bigger product, so no bits are asserted.
+    row, at_4 = (
+        full_cycle(ProtocolConfig(kappa=kappa, order_max=order)).row(light("R"))
+        for order in (order_max, 4)
+    )
+    scale = max(abs(coeff) for coeff in at_4.values())  # 1 to 27 on this kappa range
+    for label, coeff in row.items():
+        if label.kind != "a" and label.order > 2:
+            assert coeff == 0, label
+        else:
+            assert abs(coeff - at_4[label]) <= 1e-15 * scale, label
+
+
+@pytest.mark.parametrize("order_max", [2, 3, 60, 1000])
+def test_vacuum_noise_and_fidelity_hold_at_any_order(order_max):
+    noise = protocol_noise(ProtocolConfig(order_max=order_max))
+    model = noise_covariance(noise, CovarianceSpec.vacuum(), pixel_count=1)
+    assert abs(model.cov_x[0, 0] - 11 / 60) <= 1e-12
+    assert abs(model.cov_p[0, 0] - 11 / 60) <= 1e-12
+    assert abs(fidelity_from_covariance(model).f_av - 60 / 71) <= 1e-12
 
 
 # Light of three stages and stage-tagged spin modes of low order.
