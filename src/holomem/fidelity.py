@@ -152,7 +152,7 @@ def fidelity_from_covariance(
 def protocol_noise(config: ProtocolConfig = ProtocolConfig()) -> NoiseCoefficients:
     """Added-noise coefficients of the cycle at config, kept for the last 128 configs.
 
-    kappa away from 1 and an overflowing kappa raise on every call.
+    kappa away from 1 raises on every call.
     """
     return extract_noise(retrieval_cycle(config))
 

@@ -114,6 +114,8 @@ class OracleGrid:
                 f"z resolution too coarse: {per_period:.1f} points per grating "
                 f"period, need >= {MIN_POINTS_PER_PERIOD}"
             )
+        # A refined grid only adds points, so this covers every level.
+        check_resolution(self.order_max, self.z_points)
         self._check_size(1, f"{self.periods:g} grating-periods")
 
     @property
@@ -199,8 +201,8 @@ class _GridBlocks(NamedTuple):
     Light couples to the spins once and the spins back once, so the pass
     map is M0 + a M1 + a^2 M2 with a = kappa.  Each field stacks one block
     of the linear map and the same block of the conjugate map, as float64
-    views with real and imaginary parts interleaved: a real product scales
-    both without forming 0 * inf.
+    views with real and imaginary parts interleaved, which one real product
+    scales.
 
     seeds: M0's X <- X and P <- P blocks, G^{-1} gram and G^{-1} counter_gram.
     light_column: M1's X <- a column.
@@ -300,8 +302,8 @@ def _grid_blocks(order_max: int, z_points: int, dk: float) -> _GridBlocks:
 def _pass_map(grid: OracleGrid, refinement: int = 1) -> np.ndarray:
     """One pass as out = linear @ u + conjugate @ conj(u), stacked as [linear, conjugate].
 
-    The z grid is the grid's own with `refinement` times finer steps:
-    (grid.z_points - 1) * refinement + 1 points.
+    The z grid is the grid's own with `refinement` (>= 1) times finer
+    steps: (grid.z_points - 1) * refinement + 1 points.
 
     Spin amplitudes v seed Hermitian (pixel-level) fields
     2 theta_n(z) Re[v e^{i Delta_k z}]; over the unit pulse the light
@@ -323,11 +325,9 @@ def _pass_map(grid: OracleGrid, refinement: int = 1) -> np.ndarray:
     M0 + a M1 + a^2 M2 with a = kappa.  The blocks of M0, M1 and M2 depend
     on the grid geometry alone and come from the cached _grid_blocks,
     which runs the z sweep, the Filon weights and the G^{-1} products.  Per
-    call, this function only checks the resolution and fills two zeroed
-    matrices with a-scaled blocks.
+    call, this function only fills two zeroed matrices with a-scaled blocks.
     """
     points = (grid.z_points - 1) * refinement + 1
-    check_resolution(grid.order_max, points)
     blocks = _grid_blocks(grid.order_max, points, grid.effective_phase)
     a = grid.kappa
     n_spin = grid.order_max + 1
@@ -344,7 +344,7 @@ def _pass_map(grid: OracleGrid, refinement: int = 1) -> np.ndarray:
     np.multiply(blocks.light_row, a, out=parts[:, 0, p_cols])
     drive = parts[:, x_rows, p_cols]
     np.multiply(blocks.drive, a, out=drive)
-    drive *= a  # not a^2 drive: a^2 overflows first, and inf * 0 is NaN
+    drive *= a  # two products, not one by a * a, which rounds differently
     return maps
 
 

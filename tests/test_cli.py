@@ -161,16 +161,19 @@ def test_sweep_kappa_and_fidelity_share_the_unit_gain_rule(capsys):
     # |gain - 1| is 4e-10 at kappa = 1.00001: inside a 1e-9 tolerance, but
     # fidelity, through extract_noise, rejects the coupling, so the sweep
     # must not quote an f_av there either.
-    code, out, _ = run(
-        capsys, "sweep-kappa", "--kappa-min", "1.00001", "--kappa-max", "1.00002",
-        "--kappa-points", "2",
-    )
-    assert code == 0
-    row = read_csv(out)[0]
-    assert abs(complex(float(row["recovery_re"]), float(row["recovery_im"])) - 1) < 1e-9
-    assert row["f_av"] == "nan"
-    code, _, err = run(capsys, "fidelity", "--kappa", "1.00001")
-    assert code == 1 and "holds only at kappa = 1" in err
+    # At 0.9999999 and 1.0000001 |gain - 1| is within 1e-12 itself, but the
+    # read-in light's coefficient, about 1e-7, is not.
+    for kappa in ("1.00001", "0.9999999", "1.0000001"):
+        code, out, _ = run(
+            capsys, "sweep-kappa", "--kappa-min", kappa, "--kappa-max", kappa,
+            "--kappa-points", "2",
+        )
+        assert code == 0
+        row = read_csv(out)[0]
+        assert abs(complex(float(row["recovery_re"]), float(row["recovery_im"])) - 1) < 1e-9
+        assert row["f_av"] == "nan", kappa
+        code, _, err = run(capsys, "fidelity", "--kappa", kappa)
+        assert code == 1 and "holds only at kappa = 1" in err
 
 
 def test_retrieved_light_commands_build_no_pass_above_order_4(tmp_path, capsys, monkeypatch):
@@ -389,11 +392,11 @@ def test_non_finite_parameters_exit_1(tmp_path, capsys, argv, name):
     [["maps", "--kappa", "1e70"], ["sweep-kappa", "--kappa-max", "1e70"]],
 )
 def test_overflowing_maps_are_not_written(tmp_path, capsys, argv):
+    # kappa^2 = 1e140 is far past the bound: rejected before any map is built
     out_file = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        code, _, err = run(capsys, *argv, "--out", str(out_file))
+    code, _, err = run(capsys, *argv, "--out", str(out_file))
     assert code == 1
-    assert "kappa" in err and "overflows" in err
+    assert err == f"error: {argv[1][2:]} must be <= 100, got 1e+70\n"
     assert not out_file.exists()
 
 
@@ -420,16 +423,48 @@ def test_overflowing_maps_fail_cleanly_with_warnings_as_errors(capsys, argv):
 )
 def test_kappa_past_float_range_exits_1(tmp_path, capsys, argv):
     # kappa**2 (maps, fidelity, oracle-verify) or the recovery power
-    # |gain|**2 (sweep-kappa) leaves the float range: Python float
-    # arithmetic would raise OverflowError where numpy gives inf
+    # |gain|**2 (sweep-kappa) would leave the float range: the bound on
+    # kappa rejects each before any arithmetic
     out_file = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run(capsys, *argv, "--out", str(out_file))
     assert code == 1
-    assert "kappa" in err and "overflows" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"error: {argv[1][2:]} must be <= 100, got ")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["maps", "--kappa", "100.5"], "kappa"),
+        (["fidelity", "--kappa", "100.5"], "kappa"),
+        (["sweep-kappa", "--kappa-max", "100.5"], "kappa-max"),
+        (["oracle-verify", "--kappa", "100.5"], "kappa"),
+        (["maps", "--config"], "kappa"),
+    ],
+)
+def test_kappa_above_the_bound_builds_no_pass(tmp_path, capsys, monkeypatch, argv, name):
+    from holomem import cli, oracle
+
+    def spy(*args, **kwargs):
+        raise AssertionError("a pass was built")
+
+    for module, attribute in ((protocol, "single_pass"), (cli, "single_pass"),
+                              (oracle, "_pass_map")):
+        monkeypatch.setattr(module, attribute, spy)
+    protocol_noise.cache_clear()
+    if argv[-1] == "--config":
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"kappa": 100.5}))
+        argv = [*argv, str(config)]
+    out_file = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert (code, out, err) == (1, "", f"error: {name} must be <= 100, got 100.5\n")
+    assert not out_file.exists() and not (tmp_path / "out.meta.json").exists()
 
 
 def test_grid_past_the_address_space_exits_1(tmp_path, capsys):
@@ -448,12 +483,9 @@ def test_grid_past_the_address_space_exits_1(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
-def _reject_constant(token):
-    raise ValueError(f"non-standard JSON token {token}")
-
-
 @pytest.mark.parametrize("kappa", ["1e150", "1e154", "1.3e154", "1e155"])
 def test_oracle_verify_near_overflow_writes_strict_json_or_exits_1(tmp_path, capsys, kappa):
+    # couplings whose squares neared the float range are now past the bound
     out_file = tmp_path / "oracle.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -466,14 +498,8 @@ def test_oracle_verify_near_overflow_writes_strict_json_or_exits_1(tmp_path, cap
             "--tolerance", "0.05",
             "--out", str(out_file),
         )
-    assert "Traceback" not in err
-    if code == 0:
-        payload = json.loads(out_file.read_text(), parse_constant=_reject_constant)
-        assert payload["passed"] is True
-    else:
-        assert code == 1
-        assert "kappa" in err
-        assert not out_file.exists()
+    assert (code, err) == (1, f"error: kappa must be <= 100, got {float(kappa)}\n")
+    assert not out_file.exists()
 
 
 def test_oracle_verify_ignores_t_steps(tmp_path, capsys):
@@ -556,7 +582,7 @@ def test_second_fidelity_call_writes_the_bytes_of_a_fresh_process(tmp_path, caps
     [
         ("1.2", "the noise decomposition a_out = a_in + f holds only at kappa = 1; "
                 "use the full-cycle map directly for other couplings"),
-        ("1e160", "kappa = 1e+160 is too large: the full_cycle map overflows"),
+        ("1e160", "kappa must be <= 100, got 1e+160"),
     ],
     ids=["away-from-one", "overflow"],
 )

@@ -4,10 +4,12 @@ Hypothesis draws the coupling and the Legendre truncation (up to aim 3's
 order 60, and to 200 for the row of the retrieved light), the squeezing
 and the pixel count for the closed-form fidelity, the coupling,
 truncation and grating periods of the oracle's pass, random register
-pairs for map composition and embedding, and random complex maps for the
-two commutator routes; the draws are derandomized so the suite stays
-reproducible.
+pairs for map composition and embedding, random complex maps for the
+two commutator routes, and the truncation at the largest coupling
+admitted; the draws are derandomized so the suite stays reproducible.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +29,16 @@ from holomem.algebra import (
 from holomem.fidelity import (
     fidelity_from_covariance, noise_covariance, protocol_noise, squeezing_sweep,
 )
-from holomem.oracle import OracleGrid, extract_map
-from holomem.protocol import ProtocolConfig, cycle_register, full_cycle
+from holomem.oracle import OracleGrid, compare, extract_map
+from holomem.protocol import (
+    MAX_KAPPA,
+    ProtocolConfig,
+    cycle_register,
+    double_pass_write,
+    full_cycle,
+    retrieval_cycle,
+    single_pass,
+)
 
 import reference
 
@@ -235,3 +245,34 @@ def test_oracle_pass_keeps_light_commutator_and_is_quadratic_in_kappa(kappa, ord
         + at_2 * kappa * (kappa - 1) / 2
     )
     assert np.abs(predicted - drawn).max() <= 1e-12 * np.abs(drawn).max()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(order_max=st.integers(min_value=2, max_value=60))
+@example(order_max=60)
+def test_every_command_stays_finite_at_max_kappa(order_max):
+    # The bound on kappa is what keeps every output finite, with no
+    # overflow check after the fact: the maps of `maps`, the row quantities
+    # of `sweep-kappa` and a small oracle report, at any order.  The largest
+    # full-cycle entry is 0.087 kappa^6 and the largest row power about
+    # kappa^12 / 63, whatever the order.
+    config = ProtocolConfig(kappa=MAX_KAPPA, order_max=order_max)
+    grid = OracleGrid(grating_phase=2 * np.pi * 10, kappa=MAX_KAPPA, order_max=order_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maps = [single_pass(config), double_pass_write(config), full_cycle(config)]
+        cycle = retrieval_cycle(config)
+        weights = np.abs(cycle.coefficients[cycle.out_index(light("R"))]) ** 2
+        result = extract_map(grid, refinement_levels=1)
+        report = compare(result, maps[0], 0.01)
+        values = [
+            *(m.coefficients for m in maps), weights, sum(weights),
+            result.linear, result.conjugate, result.light_commutator(),
+            result.reported_tolerance, *result.refinement_ratios,
+            report.max_relative, report.max_absolute, report.max_zero_entry, report.leakage,
+        ]
+    for value in values:
+        assert np.isfinite(value).all()
+    full = maps[2].coefficients
+    assert np.abs(full).max() <= 0.09 * MAX_KAPPA**6
+    assert (np.abs(full) ** 2).sum(axis=1).max() <= MAX_KAPPA**12 / 63

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from holomem.algebra import compose, light, spin_p, spin_x, standard_register
+from holomem.algebra import LinearInOutMap, compose, light, spin_p, spin_x, standard_register
 from holomem.protocol import (
+    MAX_KAPPA,
     ProtocolConfig,
     classical_single_pass_cycle,
     cycle_from_write,
@@ -43,6 +44,11 @@ def test_config_validation():
     # rejected before any register of that order is built
     with pytest.raises(ValueError, match="order_max must be <= 1000"):
         ProtocolConfig(order_max=10**400)
+    # kappa is bounded where it enters, so no map nears the float range
+    assert ProtocolConfig(kappa=MAX_KAPPA).kappa == MAX_KAPPA == 100
+    for kappa in (np.nextafter(MAX_KAPPA, np.inf), 1e160, 10**200):
+        with pytest.raises(ValueError, match="kappa must be <= 100, got "):
+            ProtocolConfig(kappa=kappa)
     with pytest.warns(UserWarning, match="interference layers") as record:
         ProtocolConfig(grating_phase=8 * np.pi)
     # the warning names the line that built the config, not the dataclass __init__
@@ -67,8 +73,8 @@ def test_resonant_depth_diagnostic():
 
 
 def test_resonant_depth_overflows_to_inf():
-    # Squared as a float product: inf, where kappa**2 raised OverflowError.
-    assert ProtocolConfig(kappa=1e160).resonant_depth(0.1) == float("inf")
+    # kappa is bounded, but the emission probability can be tiny.
+    assert ProtocolConfig(kappa=100.0).resonant_depth(1e-310) == float("inf")
 
 
 def test_single_pass_at_zero_coupling_is_identity():
@@ -245,12 +251,16 @@ def test_extract_noise_rejects_other_couplings():
 
 
 def test_extract_noise_rejects_overflowed_cycle():
-    # kappa = 1e160 leaves NaN in the retrieved-light row, which compares
-    # false against any tolerance
-    with np.errstate(all="ignore"):
-        cycle = full_cycle(ProtocolConfig(kappa=1e160))
-    with pytest.raises(ValueError, match="kappa = 1"):
-        extract_noise(cycle)
+    # A NaN in the retrieved-light row of a library-built cycle compares
+    # false against any tolerance.
+    cycle = full_cycle(ProtocolConfig(kappa=1.0))
+    register = cycle.input_register
+    for column, message in ((light("W"), "kappa = 1"), (light("R"), "kappa = 1"),
+                            (spin_x(3), "unexpected noise contribution from x3: \\(nan")):
+        coefficients = cycle.coefficients.copy()
+        coefficients[cycle.out_index(light("R")), cycle.in_index(column)] = np.nan
+        with pytest.raises(ValueError, match=message):
+            extract_noise(LinearInOutMap(register, register, coefficients))
 
 
 def test_extract_noise_rejects_non_cycle_maps():

@@ -1,9 +1,9 @@
-"""SHA-256 of every output of twenty-two reference holomem CLI runs.
+"""SHA-256 of every output of twenty-four reference holomem CLI runs.
 
 Each invocation runs in a fresh `python -m holomem.cli` process, from the
 `src` directory of the checkout given as the only argument (by default the
-one holding this script), with `COLUMNS=80`.  Sixteen runs have `--out`
-set: thirteen compute runs, then three argvs that argparse reads (a
+one holding this script), with `COLUMNS=80`.  Eighteen runs have `--out`
+set: fifteen compute runs, then three argvs that argparse reads (a
 joined abbreviation, a negative value that exits 1, and an invalid integer
 that exits 2).  The other six print the parser texts, which are built from
 the CLI's defaults: `holomem --help` and each command's `--help`.  One
@@ -30,8 +30,9 @@ from pathlib import Path
 
 # The five README invocations, then the larger cases: order 60, a sweep at
 # order 30, oracle grids at other orders, couplings and periods, the
-# cached noise route at order 60, 10^6 pixels and squeezing r = 10, and a
-# few-layer oracle grid, whose note goes to stderr.  The last three take
+# cached noise route at order 60, 10^6 pixels and squeezing r = 10, a
+# few-layer oracle grid, whose note goes to stderr, and maps and a sweep up
+# to the largest coupling admitted, kappa = 100.  The last three take
 # argparse's route rather than the flag table's.
 INVOCATIONS = (
     ("maps", "--kappa", "1.0"),
@@ -47,6 +48,8 @@ INVOCATIONS = (
     ("fidelity", "--order-max", "60", "--pixels", "1000000", "--squeeze-r", "10"),
     ("squeeze-sweep", "--order-max", "30", "--pixels", "1000000"),
     ("oracle-verify", "--grating-periods", "10", "--z-per-period", "20", "--tolerance", "0.5"),
+    ("maps", "--kappa", "100"),
+    ("sweep-kappa", "--kappa-min", "0", "--kappa-max", "100", "--kappa-points", "11"),
     ("fidelity", "--pix=3"),
     ("maps", "--kappa", "-0.5"),
     ("fidelity", "--pixels", "many"),
