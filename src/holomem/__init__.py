@@ -28,8 +28,8 @@ _EXPORTS = {
     ),
     "oracle": ("OracleGrid", "OracleResult", "compare", "extract_map", "numerical_full_cycle"),
     "protocol": (
-        "NoiseCoefficients", "ProtocolConfig", "classical_single_pass_cycle", "cycle_register",
-        "double_pass_write", "extract_noise", "full_cycle", "interpass_transform", "single_pass",
+        "NoiseCoefficients", "ProtocolConfig", "cycle_register", "double_pass_write",
+        "extract_noise", "full_cycle", "interpass_transform", "single_pass",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

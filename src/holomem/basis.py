@@ -172,16 +172,18 @@ def sampled_basis(order_max: int, n_points: int) -> SampledBasis:
     return SampledBasis(thetas, weights, gram_inverse)
 
 
-def check_resolution(order_max: int, n_points: int) -> None:
-    """Reject a z grid too coarse to resolve theta_order_max.
+def check_resolution(order_max: int, n_points: int, periods: float) -> None:
+    """Reject a z grid too coarse for its grating carrier or for theta_order_max.
 
-    P_n has ~n/2 oscillations across the cell; demand 4 points for each.
+    It needs MIN_POINTS_PER_PERIOD points per grating period (a 1e-9 slack
+    admits a period count a few ulp off) and 4 per oscillation of P_order_max;
+    a profile with no carrier passes periods = 0.  np.ceil keeps inf.
     """
-    min_points = 4 * max(1, order_max)
-    if n_points < min_points:
+    need = max(4 * max(1, order_max), np.ceil(MIN_POINTS_PER_PERIOD * periods * (1 - 1e-9)) + 1)
+    if n_points < need:
         raise ValueError(
-            f"z grid too coarse: {n_points} points, need >= {min_points} "
-            f"to resolve theta_{order_max}"
+            f"z grid too coarse: {n_points} points, need >= {need:.0f} for {periods:g} "
+            f"grating-periods, z-per-period >= {MIN_POINTS_PER_PERIOD} and order-max {order_max}"
         )
 
 
@@ -197,12 +199,11 @@ def project_onto_basis(samples, order_max: int) -> np.ndarray:
     componentwise, so the result is complex whenever the input is.
 
     Raises:
-        ValueError: if the grid is too coarse to resolve theta_order_max
-            (fewer than 4 points per polynomial oscillation).
+        ValueError: if the grid is too coarse for theta_order_max (see check_resolution).
     """
     samples = np.asarray(samples)
     if samples.ndim != 1:
         raise ValueError("samples must be a 1-D array over the z grid")
-    check_resolution(order_max, samples.size)
+    check_resolution(order_max, samples.size, 0)
     thetas, weights, gram_inverse = sampled_basis(order_max, samples.size)
     return gram_inverse @ (thetas @ (weights * samples))

@@ -56,7 +56,6 @@ from .algebra import (
 )
 from .basis import (
     DEFAULT_POINTS_PER_PERIOD,
-    MIN_POINTS_PER_PERIOD,
     cell_grid,
     check_resolution,
     sampled_basis,
@@ -107,15 +106,9 @@ class OracleGrid:
         if self.z_points is None:
             object.__setattr__(self, "z_points", z_points(self.periods, DEFAULT_POINTS_PER_PERIOD))
         check_parameters(self, (), ("z_points",))
-        finite("z_points", self.z_points)  # the resolution check divides it as a float
-        per_period = (self.z_points - 1) / self.periods
-        if per_period < MIN_POINTS_PER_PERIOD * (1 - 1e-9):
-            raise ValueError(
-                f"z resolution too coarse: {per_period:.1f} points per grating "
-                f"period, need >= {MIN_POINTS_PER_PERIOD}"
-            )
+        finite("z_points", self.z_points)  # else _check_size's :.3g raises OverflowError
         # A refined grid only adds points, so this covers every level.
-        check_resolution(self.order_max, self.z_points)
+        check_resolution(self.order_max, self.z_points, self.periods)
         self._check_size(1, f"{self.periods:g} grating-periods")
 
     @property
@@ -200,9 +193,7 @@ class _GridBlocks(NamedTuple):
 
     Light couples to the spins once and the spins back once, so the pass
     map is M0 + a M1 + a^2 M2 with a = kappa.  Each field stacks one block
-    of the linear map and the same block of the conjugate map, as float64
-    views with real and imaginary parts interleaved, which one real product
-    scales.
+    of the linear map and the same block of the conjugate map.
 
     seeds: M0's X <- X and P <- P blocks, G^{-1} gram and G^{-1} counter_gram.
     light_column: M1's X <- a column.
@@ -281,7 +272,7 @@ def _grid_blocks(order_max: int, z_points: int, dk: float) -> _GridBlocks:
     )
 
     def stacked(linear, conjugate):
-        table = np.array([linear, conjugate], dtype=complex).view(np.float64)
+        table = np.array([linear, conjugate], dtype=complex)
         table.flags.writeable = False
         return table
 
@@ -331,20 +322,16 @@ def _pass_map(grid: OracleGrid, refinement: int = 1) -> np.ndarray:
     blocks = _grid_blocks(grid.order_max, points, grid.effective_phase)
     a = grid.kappa
     n_spin = grid.order_max + 1
-    dim = 1 + 2 * n_spin
-    maps = np.zeros((2, dim, dim), dtype=complex)  # linear, conjugate
-    parts = maps.view(np.float64)  # columns 2j and 2j + 1 hold column j's re and im
-    x_rows, p_rows = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
-    x_cols, p_cols = slice(2, 2 + 2 * n_spin), slice(2 + 2 * n_spin, 2 * dim)
+    maps = np.zeros((2, 1 + 2 * n_spin, 1 + 2 * n_spin), dtype=complex)  # linear, conjugate
+    x, p = slice(1, 1 + n_spin), slice(1 + n_spin, None)
     # Light: a(z) = a_in along the whole cell.
     maps[0, 0, 0] = 1.0
-    np.multiply(blocks.light_column, a, out=parts[:, x_rows, :2])
+    maps[:, x, :1] = blocks.light_column * a
     # Seeds read back through the grating; P is never updated.
-    parts[:, x_rows, x_cols] = parts[:, p_rows, p_cols] = blocks.seeds
-    np.multiply(blocks.light_row, a, out=parts[:, 0, p_cols])
-    drive = parts[:, x_rows, p_cols]
-    np.multiply(blocks.drive, a, out=drive)
-    drive *= a  # two products, not one by a * a, which rounds differently
+    maps[:, x, x] = maps[:, p, p] = blocks.seeds
+    maps[:, 0, p] = blocks.light_row * a
+    # (drive * a) * a: one product by a * a would round differently.
+    maps[:, x, p] = blocks.drive * a * a
     return maps
 
 

@@ -240,31 +240,6 @@ def retrieval_cycle(config: ProtocolConfig) -> LinearInOutMap:
     return full_cycle(ProtocolConfig(config.kappa, min(config.order_max, 4)))
 
 
-def classical_single_pass_cycle(config: ProtocolConfig) -> LinearInOutMap:
-    """Single-pass write and read with an interstage spin rotation.
-
-    This is the classical-hologram baseline: a single pass each way with
-    p_n^(read in) = x_n^(write out).  At kappa = 1 the signal is restored
-    with proper amplitude (times -i), but the light and the atoms keep a
-    memory of their initial states, which caps the fidelity at the
-    classical level.
-    """
-    n_max = config.order_max
-    register = cycle_register(n_max)
-    dim = len(register)
-    write = single_pass(config, stage="W").embedded(register)
-    read = single_pass(config, stage="R").embedded(register)
-    rotation = np.eye(dim, dtype=complex)
-    n = np.arange(n_max + 1)
-    x_i, p_i = 1 + n, 2 + n_max + n
-    rotation[x_i, x_i] = 0.0
-    rotation[p_i, p_i] = 0.0
-    rotation[x_i, p_i] = -1.0
-    rotation[p_i, x_i] = 1.0
-    rotate = LinearInOutMap(register, register, rotation)
-    return compose(compose(write, rotate), read)
-
-
 def unit_gain(signal: complex, read_in: complex) -> bool:
     """Whether retrieved light with these coefficients is the stored signal plus noise.
 

@@ -18,7 +18,9 @@ The oracle comparison as first written, masked division and an
 entry-by-entry scan for the largest deviations, is the reference its
 vectorized report must reproduce bit for bit.  The grating overlap of two
 Legendre modes is given here in closed form, as the exact value the
-oracle's seeds converge to.
+oracle's seeds converge to.  The oracle once assembled its pass map from
+the cached blocks through float64 views of its complex maps; that assembly
+is kept as the reference for the complex slices that replaced it.
 """
 
 from functools import cache
@@ -40,7 +42,7 @@ from holomem.algebra import (
     squeezed_variance,
 )
 from holomem.basis import simpson_weights
-from holomem.oracle import ComparisonReport, _carrier_segment_weights
+from holomem.oracle import ComparisonReport, _GridBlocks, _carrier_segment_weights, _grid_blocks
 
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
@@ -395,3 +397,33 @@ def grating_overlap(order_max: int, dk: float) -> np.ndarray:
     transforms = np.array([1, -1j, -1, 1j])[n % 4] * spherical_jn(n, dk)  # (-i)^n j_n
     norms = np.sqrt(2 * np.arange(order_max + 1) + 1)
     return np.outer(norms, norms) * (legendre_product_table(order_max) @ transforms)
+
+
+def interleaved_pass_map(grid, refinement: int = 1) -> np.ndarray:
+    """The oracle's pass map, assembled through float64 views of the complex maps.
+
+    Each a-scaled block is a real product over interleaved real and
+    imaginary parts, never a complex one, so no zero ever meets an imaginary
+    zero: at kappa = 0 the package's complex products give some zero entries
+    the other sign.  At kappa > 0 the two agree byte for byte.
+    """
+    points = (grid.z_points - 1) * refinement + 1
+    cached = _grid_blocks(grid.order_max, points, grid.effective_phase)
+    blocks = _GridBlocks(*(block.view(np.float64) for block in cached))
+    a = grid.kappa
+    n_spin = grid.order_max + 1
+    dim = 1 + 2 * n_spin
+    maps = np.zeros((2, dim, dim), dtype=complex)  # linear, conjugate
+    parts = maps.view(np.float64)  # columns 2j and 2j + 1 hold column j's re and im
+    x_rows, p_rows = slice(1, 1 + n_spin), slice(1 + n_spin, dim)
+    x_cols, p_cols = slice(2, 2 + 2 * n_spin), slice(2 + 2 * n_spin, 2 * dim)
+    # Light: a(z) = a_in along the whole cell.
+    maps[0, 0, 0] = 1.0
+    np.multiply(blocks.light_column, a, out=parts[:, x_rows, :2])
+    # Seeds read back through the grating; P is never updated.
+    parts[:, x_rows, x_cols] = parts[:, p_rows, p_cols] = blocks.seeds
+    np.multiply(blocks.light_row, a, out=parts[:, 0, p_cols])
+    drive = parts[:, x_rows, p_cols]
+    np.multiply(blocks.drive, a, out=drive)
+    drive *= a  # two products, not one by a * a, which rounds differently
+    return maps

@@ -387,62 +387,33 @@ def test_non_finite_parameters_exit_1(tmp_path, capsys, argv, name):
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["maps", "--kappa", "1e70"], ["sweep-kappa", "--kappa-max", "1e70"]],
-)
-def test_overflowing_maps_are_not_written(tmp_path, capsys, argv):
-    # kappa^2 = 1e140 is far past the bound: rejected before any map is built
-    out_file = tmp_path / "out"
-    code, _, err = run(capsys, *argv, "--out", str(out_file))
-    assert code == 1
-    assert err == f"error: {argv[1][2:]} must be <= 100, got 1e+70\n"
-    assert not out_file.exists()
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["maps", "--kappa", "1e70"], ["sweep-kappa", "--kappa-max", "1e70"]],
-)
-def test_overflowing_maps_fail_cleanly_with_warnings_as_errors(capsys, argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, err = run(capsys, *argv)
-    assert code == 1
-    assert "kappa" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["maps", "--kappa", "1e160"],
-        ["fidelity", "--kappa", "1e160"],
-        ["sweep-kappa", "--kappa-max", "1e40"],
-        ["oracle-verify", "--kappa", "1e200"],
-    ],
-)
-def test_kappa_past_float_range_exits_1(tmp_path, capsys, argv):
-    # kappa**2 (maps, fidelity, oracle-verify) or the recovery power
-    # |gain|**2 (sweep-kappa) would leave the float range: the bound on
-    # kappa rejects each before any arithmetic
-    out_file = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, err = run(capsys, *argv, "--out", str(out_file))
-    assert code == 1
-    assert err.startswith(f"error: {argv[1][2:]} must be <= 100, got ")
-    assert err.count("\n") == 1 and "Traceback" not in err
-    assert not out_file.exists()
+ORACLE_GRID = ["--grating-periods", "20", "--z-per-period", "20", "--tolerance", "0.05"]
 
 
 @pytest.mark.parametrize(
     "argv, name",
     [
-        (["maps", "--kappa", "100.5"], "kappa"),
-        (["fidelity", "--kappa", "100.5"], "kappa"),
-        (["sweep-kappa", "--kappa-max", "100.5"], "kappa-max"),
-        (["oracle-verify", "--kappa", "100.5"], "kappa"),
-        (["maps", "--config"], "kappa"),
+        (["maps", "--kappa", "100.5", "--out", "{out}"], "kappa"),
+        (["fidelity", "--kappa", "100.5", "--out", "{out}"], "kappa"),
+        (["sweep-kappa", "--kappa-max", "100.5", "--out", "{out}"], "kappa-max"),
+        (["oracle-verify", "--kappa", "100.5", "--out", "{out}"], "kappa"),
+        (["maps", "--config", "{config}", "--out", "{out}"], "kappa"),
+        # kappa^2 = 1e140 is far past the bound, written to a file or to stdout
+        (["maps", "--kappa", "1e70", "--out", "{out}"], "kappa"),
+        (["sweep-kappa", "--kappa-max", "1e70", "--out", "{out}"], "kappa-max"),
+        (["maps", "--kappa", "1e70"], "kappa"),
+        (["sweep-kappa", "--kappa-max", "1e70"], "kappa-max"),
+        # kappa**2 (maps, fidelity, oracle-verify) or the recovery power
+        # |gain|**2 (sweep-kappa) would leave the float range
+        (["maps", "--kappa", "1e160", "--out", "{out}"], "kappa"),
+        (["fidelity", "--kappa", "1e160", "--out", "{out}"], "kappa"),
+        (["sweep-kappa", "--kappa-max", "1e40", "--out", "{out}"], "kappa-max"),
+        (["oracle-verify", "--kappa", "1e200", "--out", "{out}"], "kappa"),
+        # oracle couplings whose squares near the float range
+        (["oracle-verify", "--kappa", "1e150", *ORACLE_GRID, "--out", "{out}"], "kappa"),
+        (["oracle-verify", "--kappa", "1e154", *ORACLE_GRID, "--out", "{out}"], "kappa"),
+        (["oracle-verify", "--kappa", "1.3e154", *ORACLE_GRID, "--out", "{out}"], "kappa"),
+        (["oracle-verify", "--kappa", "1e155", *ORACLE_GRID, "--out", "{out}"], "kappa"),
     ],
 )
 def test_kappa_above_the_bound_builds_no_pass(tmp_path, capsys, monkeypatch, argv, name):
@@ -455,15 +426,16 @@ def test_kappa_above_the_bound_builds_no_pass(tmp_path, capsys, monkeypatch, arg
                               (oracle, "_pass_map")):
         monkeypatch.setattr(module, attribute, spy)
     protocol_noise.cache_clear()
-    if argv[-1] == "--config":
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({"kappa": 100.5}))
-        argv = [*argv, str(config)]
-    out_file = tmp_path / "out"
+    config, out_file = tmp_path / "run.json", tmp_path / "out"
+    config.write_text(json.dumps({"kappa": 100.5}))
+    flag = f"--{name}"
+    value = argv[argv.index(flag) + 1] if flag in argv else "100.5"  # else the config's
+    argv = [arg.format(out=out_file, config=config) for arg in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run(capsys, *argv, "--out", str(out_file))
-    assert (code, out, err) == (1, "", f"error: {name} must be <= 100, got 100.5\n")
+        code, out, err = run(capsys, *argv)
+    # the one error line, before any arithmetic on kappa; no data on stdout either
+    assert (code, out, err) == (1, "", f"error: {name} must be <= 100, got {float(value)}\n")
     assert not out_file.exists() and not (tmp_path / "out.meta.json").exists()
 
 
@@ -483,23 +455,20 @@ def test_grid_past_the_address_space_exits_1(tmp_path, capsys):
         assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("kappa", ["1e150", "1e154", "1.3e154", "1e155"])
-def test_oracle_verify_near_overflow_writes_strict_json_or_exits_1(tmp_path, capsys, kappa):
-    # couplings whose squares neared the float range are now past the bound
+@pytest.mark.parametrize(
+    "argv",
+    [["--order-max", "60", "--grating-periods", "1"], ["--z-per-period", "10"]],
+    ids=["order-max", "z-per-period"],
+)
+def test_coarse_grid_names_its_flags(tmp_path, capsys, argv):
+    # too few points for theta_60 on one period, or for the carrier at 10 per period
     out_file = tmp_path / "oracle.json"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _, err = run(
-            capsys,
-            "oracle-verify",
-            "--kappa", kappa,
-            "--grating-periods", "20",
-            "--z-per-period", "20",
-            "--tolerance", "0.05",
-            "--out", str(out_file),
-        )
-    assert (code, err) == (1, f"error: kappa must be <= 100, got {float(kappa)}\n")
-    assert not out_file.exists()
+    code, out, err = run(capsys, "oracle-verify", *argv, "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: z grid too coarse: ") and err.count("\n") == 1
+    for flag in ("order-max", "grating-periods", "z-per-period"):
+        assert flag in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_verify_ignores_t_steps(tmp_path, capsys):

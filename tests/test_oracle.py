@@ -10,7 +10,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from holomem import algebra, oracle
@@ -546,6 +546,24 @@ def test_pass_map_on_a_cache_hit_equals_a_fresh_sweep(order_max, kappa):
     assert _grid_blocks.cache_info().misses == 1
     for cached, swept in zip(hit, fresh):
         assert cached.tobytes() == swept.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    order_max=st.sampled_from([0, 1, 4, 20]),
+    kappa=st.floats(min_value=0.0, max_value=100.0),
+)
+@example(order_max=4, kappa=0.0)
+@example(order_max=4, kappa=1.13)
+def test_pass_map_equals_the_interleaved_assembly(order_max, kappa):
+    grid = small_grid(order_max=order_max, kappa=kappa)
+    maps, interleaved = _pass_map(grid), reference.interleaved_pass_map(grid)
+    # Equal values: where the bytes differ, both entries are zeros of opposite sign.
+    assert np.array_equal(maps, interleaved)
+    # Zeros differ in sign only at kappa = 0, or where a block entry times kappa
+    # underflows: the blocks' smallest nonzero part is about 4e-34 on these grids.
+    if kappa >= 1e-100:
+        assert maps.tobytes() == interleaved.tobytes()
 
 
 @pytest.mark.parametrize(

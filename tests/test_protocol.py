@@ -8,7 +8,6 @@ from holomem.algebra import LinearInOutMap, compose, light, spin_p, spin_x, stan
 from holomem.protocol import (
     MAX_KAPPA,
     ProtocolConfig,
-    classical_single_pass_cycle,
     cycle_from_write,
     cycle_register,
     double_pass_write,
@@ -21,6 +20,31 @@ from holomem.protocol import (
 import reference
 
 KAPPA_SAMPLE = np.random.default_rng(20260809).uniform(0.0, 2.0, size=50)
+
+
+def classical_single_pass_cycle(config: ProtocolConfig) -> LinearInOutMap:
+    """Single-pass write and read with an interstage spin rotation.
+
+    This is the classical-hologram baseline: a single pass each way with
+    p_n^(read in) = x_n^(write out).  At kappa = 1 the signal is restored
+    with proper amplitude (times -i), but the light and the atoms keep a
+    memory of their initial states, which caps the fidelity at the
+    classical level.
+    """
+    n_max = config.order_max
+    register = cycle_register(n_max)
+    dim = len(register)
+    write = single_pass(config, stage="W").embedded(register)
+    read = single_pass(config, stage="R").embedded(register)
+    rotation = np.eye(dim, dtype=complex)
+    n = np.arange(n_max + 1)
+    x_i, p_i = 1 + n, 2 + n_max + n
+    rotation[x_i, x_i] = 0.0
+    rotation[p_i, p_i] = 0.0
+    rotation[x_i, p_i] = -1.0
+    rotation[p_i, x_i] = 1.0
+    rotate = LinearInOutMap(register, register, rotation)
+    return compose(compose(write, rotate), read)
 
 
 def test_config_validation():
