@@ -60,11 +60,13 @@ COMMENT = (
 
 DEFAULTS: dict[str, dict] = {
     "maps": {"kappa": 1.0, "order_max": 4},
-    "fidelity": {"kappa": 1.0, "pixels": 1, "squeeze_r": 0.0, "order_max": 4},
+    "fidelity": {"kappa": 1.0, "pixels": 1, "squeeze_r": 0.0},
     "sweep-kappa": {
         "kappa_min": 0.0,
         "kappa_max": 1.4,
         "kappa_points": 141,
+        # Checked, but no output reads it (retrieval_cycle); the benchmark's
+        # kappa-sweep passes it (bench/workloads.py).  It goes with --t-steps.
         "order_max": 4,
     },
     "squeeze-sweep": {
@@ -72,7 +74,6 @@ DEFAULTS: dict[str, dict] = {
         "r_min": 0.0,
         "r_max": 10.0,
         "r_points": 101,
-        "order_max": 4,
     },
     "oracle-verify": {
         "kappa": 1.0,
@@ -308,9 +309,8 @@ def cmd_fidelity(params: dict, out: str | None) -> int:
     r = finite("squeeze-r", params["squeeze_r"])
     if r < 0:
         raise ValueError("squeeze-r must be nonnegative")
-    config = ProtocolConfig(kappa=params["kappa"], order_max=int(params["order_max"]))
-    (report,) = squeezing_sweep([r], pixel_count=pixels, config=config)
-    row = [_fmt(config.kappa), *_fidelity_row(report)]
+    (report,) = squeezing_sweep([r], pixel_count=pixels, kappa=params["kappa"])
+    row = [_fmt(params["kappa"]), *_fidelity_row(report)]
     _write_table(out, ["kappa", *_FIDELITY_HEADER], [row])
     return 0
 
@@ -335,12 +335,12 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
     kappas = _sweep_axis("kappa", params)
     if kappas[-1] > MAX_KAPPA:
         raise ValueError(f"kappa-max must be <= {MAX_KAPPA:g}, got {float(kappas[-1])}")
-    order_max = int(params["order_max"])
+    ProtocolConfig(order_max=int(params["order_max"]))  # only checks the flag
     header = ["kappa", "recovery_re", "recovery_im", "recovery_power", "added_noise_var", "f_av"]
     rows = []
     powers = []
     for kappa in kappas:
-        cycle = retrieval_cycle(ProtocolConfig(kappa=float(kappa), order_max=order_max))
+        cycle = retrieval_cycle(float(kappa))
         row_coeffs = cycle.coefficients[cycle.out_index(light("R"))]
         weights = np.abs(row_coeffs) ** 2
         signal = cycle.in_index(light("W"))
@@ -380,8 +380,7 @@ def cmd_sweep_kappa(params: dict, out: str | None) -> int:
 def cmd_squeeze_sweep(params: dict, out: str | None) -> int:
     r_values = _sweep_axis("r", params)
     pixels = check_pixel_count("pixels", params["pixels"])
-    config = ProtocolConfig(order_max=int(params["order_max"]))
-    reports = squeezing_sweep(r_values, pixel_count=pixels, config=config)
+    reports = squeezing_sweep(r_values, pixel_count=pixels)
     _write_table(out, _FIDELITY_HEADER, [_fidelity_row(rep) for rep in reports])
     return 0
 
@@ -397,10 +396,13 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
         raise ValueError("grating-periods must be positive")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
+    # First, so that an invalid order is the one error line, before the
+    # grid's few-layer note.  No analytic map reads the grating phase.
+    config = ProtocolConfig(kappa=float(params["kappa"]), order_max=int(params["order_max"]))
     grid = OracleGrid(
         grating_phase=2 * np.pi * periods,
-        kappa=float(params["kappa"]),
-        order_max=int(params["order_max"]),
+        kappa=config.kappa,
+        order_max=config.order_max,
         z_points=z_points(periods, z_per_period),
     )
     if few_layers(grid.effective_phase, grid.order_max):
@@ -410,9 +412,6 @@ def cmd_oracle_verify(params: dict, out: str | None) -> int:
             "coefficients are unreliable there",
             file=sys.stderr,
         )
-    # No analytic map reads the grating phase, and the note above is the
-    # run's one few-layer diagnostic.
-    config = ProtocolConfig(kappa=grid.kappa, order_max=grid.order_max)
     analytic = single_pass(config)
     result = extract_map(grid, refinement_levels=1)
     report = compare(result, analytic, tolerance)

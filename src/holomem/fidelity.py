@@ -8,8 +8,8 @@ Vacuum spins give C^X = C^P = (11/60) I, hence F_av = 60/71 ~ 0.845, above
 the classical benchmark 1/2 and the cloning limit 2/3; squeezing the three
 spin modes drives F_av toward 1.
 
-The coefficients c and their realify'd rows come from a cycle of order 4 at
-most (protocol_noise, cached per ProtocolConfig); per squeezing r,
+The coefficients c and their realify'd rows come from the order-4 cycle
+(protocol_noise, cached per kappa); per squeezing r,
 squeezing_sweep forms one 2x6 S Sigma S^T.  Pixels are independent, so a
 covariance is one variance per quadrature and log det is
 N (log1p(var_x) + log1p(var_p)), whatever N.
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import CovarianceSpec, squeezed_variance, transport_covariance
-from .protocol import NoiseCoefficients, ProtocolConfig, extract_noise, retrieval_cycle
+from .protocol import NoiseCoefficients, extract_noise, retrieval_cycle
 
 CLASSICAL_BENCHMARK = 0.5
 CLONING_BENCHMARK = 2.0 / 3.0
@@ -149,30 +149,29 @@ def fidelity_from_covariance(
 
 
 @lru_cache(maxsize=128)
-def protocol_noise(config: ProtocolConfig = ProtocolConfig()) -> NoiseCoefficients:
-    """Added-noise coefficients of the cycle at config, kept for the last 128 configs.
+def protocol_noise(kappa: float = 1.0) -> NoiseCoefficients:
+    """Added-noise coefficients of the cycle at kappa, kept for the last 128 couplings.
 
     kappa away from 1 raises on every call.
     """
-    return extract_noise(retrieval_cycle(config))
+    return extract_noise(retrieval_cycle(kappa))
 
 
 def vacuum_fidelity(pixel_count: int = 1) -> FidelityReport:
     """Fidelity with unsqueezed (vacuum) spins; F_av = 60/71."""
-    noise = protocol_noise(ProtocolConfig())
-    model = noise_covariance(noise, CovarianceSpec.vacuum(), pixel_count)
+    model = noise_covariance(protocol_noise(1.0), CovarianceSpec.vacuum(), pixel_count)
     return fidelity_from_covariance(model)
 
 
 def squeezing_sweep(
-    r_values: Sequence[float], pixel_count: int = 1, config: ProtocolConfig = ProtocolConfig()
+    r_values: Sequence[float], pixel_count: int = 1, kappa: float = 1.0
 ) -> list[FidelityReport]:
-    """Fidelity versus initial spin squeezing of the three noise modes at config.
+    """Fidelity versus initial spin squeezing of the three noise modes at kappa.
 
     Monotone increasing in r with limit F_av -> 1; the closed form is
     F_av(r) = (1 + (11/60) e^{-2r})^{-1}.
     """
-    noise = protocol_noise(config)
+    noise = protocol_noise(kappa)
     reports = []
     for r in r_values:
         # the squeezed variance on all six noise quadratures; no conjugate partner is in the row

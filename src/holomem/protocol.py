@@ -231,13 +231,13 @@ def full_cycle(config: ProtocolConfig) -> LinearInOutMap:
     return cycle_from_write(double_pass_write(config, stage="W"), config.order_max)
 
 
-def retrieval_cycle(config: ProtocolConfig) -> LinearInOutMap:
-    """full_cycle at order min(order_max, 4), the default, for its a@R row alone.
+def retrieval_cycle(kappa: float) -> LinearInOutMap:
+    """full_cycle at kappa and order 4, for its a@R row alone.
 
     At any order that row reads spin orders 0-2 only: light touches only x_0
     and p_0 in a pass, and Q moves one order per pass.
     """
-    return full_cycle(ProtocolConfig(config.kappa, min(config.order_max, 4)))
+    return full_cycle(ProtocolConfig(kappa, order_max=4))
 
 
 def unit_gain(signal: complex, read_in: complex) -> bool:

@@ -177,8 +177,8 @@ def test_sweep_kappa_and_fidelity_share_the_unit_gain_rule(capsys):
 
 
 def test_retrieved_light_commands_build_no_pass_above_order_4(tmp_path, capsys, monkeypatch):
-    # the row they read holds spin orders 0-2 at any order: a higher
-    # --order-max is validated, then changes neither a byte nor the work
+    # the row they read holds spin orders 0-2 at any order (retrieval_cycle),
+    # whatever sweep-kappa's --order-max
     orders = []
     single_pass = protocol.single_pass
 
@@ -188,19 +188,41 @@ def test_retrieved_light_commands_build_no_pass_above_order_4(tmp_path, capsys, 
 
     monkeypatch.setattr(protocol, "single_pass", spy)
     protocol_noise.cache_clear()
-    for command, high in (("fidelity", "1000"), ("squeeze-sweep", "1000"), ("sweep-kappa", "200")):
-        outputs = []
-        for order in (high, "4"):
-            out_file = tmp_path / f"{command}-{order}.csv"
-            code, _, _ = run(capsys, command, "--order-max", order, "--out", str(out_file))
-            assert code == 0
-            outputs.append(out_file.read_bytes())
-        assert outputs[0] == outputs[1], command
-    assert max(orders) == 4
+    for argv in (["fidelity"], ["squeeze-sweep"], ["sweep-kappa", "--order-max", "1000"]):
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / f"{argv[0]}.csv"))
+        assert code == 0
+    assert set(orders) == {4}
+
+
+def test_sweep_kappa_at_order_2_writes_the_default_bytes(tmp_path, capsys):
+    # order 2 used to build a smaller cycle, whose products rounded otherwise
+    outputs = []
+    for argv in ([], ["--order-max", "2"]):
+        out_file = tmp_path / f"{len(outputs)}.csv"
+        code, _, _ = run(capsys, "sweep-kappa", *argv, "--out", str(out_file))
+        assert code == 0
+        outputs.append(out_file.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["fidelity", "squeeze-sweep"])
+def test_retrieved_light_commands_take_no_order(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--order-max", "4"])
+    _, err = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert err.startswith(f"usage: holomem {command} ")
+    assert err.endswith(f"holomem {command}: error: unrecognized arguments: --order-max 4\n")
+    config, out_file = tmp_path / "run.json", tmp_path / "out.csv"
+    config.write_text(json.dumps({"order_max": 4}))
+    code, _, err = run(capsys, command, "--config", str(config), "--out", str(out_file))
+    assert (code, err) == (1, f"error: unknown config keys for {command}: ['order_max']\n")
+    assert not out_file.exists()
 
 
 def test_sweep_kappa_at_high_order_ignores_the_blas_thread_count(tmp_path, capsys):
-    # a dense order-100 cycle product moved last digits with the thread count
+    # sweep-kappa builds the order-4 cycle whatever --order-max; a dense
+    # order-100 cycle product moved last digits with the thread count
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(holomem.__file__)))
     outputs = []
     for threads in ("1", "2"):
@@ -213,9 +235,9 @@ def test_sweep_kappa_at_high_order_ignores_the_blas_thread_count(tmp_path, capsy
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out_file.read_bytes())
-    code, _, _ = run(capsys, "sweep-kappa", "--order-max", "4", "--out", str(tmp_path / "4.csv"))
+    code, _, _ = run(capsys, "sweep-kappa", "--out", str(tmp_path / "default.csv"))
     assert code == 0
-    assert outputs == [(tmp_path / "4.csv").read_bytes()] * 2
+    assert outputs == [(tmp_path / "default.csv").read_bytes()] * 2
 
 
 def test_sweep_kappa_rejects_empty_range(capsys):
@@ -471,6 +493,22 @@ def test_coarse_grid_names_its_flags(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("order", ["-1", "0", "1"])
+def test_invalid_oracle_order_is_one_error_line(tmp_path, capsys, monkeypatch, order):
+    # rejected before the grid and its few-layer note, with no sweep run
+    from holomem import oracle
+
+    def spy(*args, **kwargs):
+        raise AssertionError("a sweep was run")
+
+    monkeypatch.setattr(oracle, "extract_map", spy)
+    out_file = tmp_path / "oracle.json"
+    argv = ["--order-max", order, "--grating-periods", "5", "--out", str(out_file)]
+    code, out, err = run(capsys, "oracle-verify", *argv)
+    assert (code, out, err) == (1, "", f"error: order_max must be >= 2, got {order}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_verify_ignores_t_steps(tmp_path, capsys):
     payloads = []
     for extra in ([], ["--t-steps", "7"]):
@@ -551,9 +589,13 @@ def test_second_fidelity_call_writes_the_bytes_of_a_fresh_process(tmp_path, caps
     [
         ("1.2", "the noise decomposition a_out = a_in + f holds only at kappa = 1; "
                 "use the full-cycle map directly for other couplings"),
+        ("0.9999999", "the noise decomposition a_out = a_in + f holds only at kappa = 1; "
+                      "use the full-cycle map directly for other couplings"),
         ("1e160", "kappa must be <= 100, got 1e+160"),
+        ("101", "kappa must be <= 100, got 101.0"),
+        ("nan", "kappa must be finite, got nan"),
     ],
-    ids=["away-from-one", "overflow"],
+    ids=["away-from-one", "near-one", "overflow", "above-the-bound", "nan"],
 )
 def test_rejected_fidelity_couplings_fail_alike_on_every_call(tmp_path, capsys, kappa, message):
     out_file = tmp_path / "out.csv"
@@ -615,7 +657,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     [
         ({"pixels": None}, "pixels"),
         ({"kappa": "1"}, "kappa"),
-        ({"order_max": 4.5}, "order_max"),
+        ({"pixels": 2.5}, "pixels"),
         ({"pixels": True}, "pixels"),
         ({"squeeze_r": 10**400}, "squeeze_r"),
     ],
@@ -634,7 +676,7 @@ def test_config_values_are_checked_against_the_flag_type(tmp_path, capsys, value
 
 def test_config_accepts_what_the_flags_accept(tmp_path, capsys):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"order_max": 4.0, "kappa": 1, "pixels": 2}))
+    config.write_text(json.dumps({"kappa": 1, "pixels": 2.0}))
     code, out, _ = run(capsys, "fidelity", "--config", str(config))
     assert code == 0
     assert read_csv(out)[0]["pixels"] == "2"

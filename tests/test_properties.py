@@ -27,7 +27,7 @@ from holomem.algebra import (
     symplectic_form,
 )
 from holomem.fidelity import (
-    fidelity_from_covariance, noise_covariance, protocol_noise, squeezing_sweep,
+    fidelity_from_covariance, noise_covariance, squeezing_sweep,
 )
 from holomem.oracle import OracleGrid, compare, extract_map
 from holomem.protocol import (
@@ -35,6 +35,7 @@ from holomem.protocol import (
     ProtocolConfig,
     cycle_register,
     double_pass_write,
+    extract_noise,
     full_cycle,
     retrieval_cycle,
     single_pass,
@@ -70,16 +71,11 @@ def test_full_cycle_keeps_retrieved_light_commutator(kappa, order_max):
 
 
 @PROPERTY_SETTINGS
-@given(
-    r=st.floats(min_value=0.0, max_value=10.0),
-    pixels=st.integers(min_value=1, max_value=10**6),
-    order_max=CYCLES["order_max"],
-)
-@example(r=0.0, pixels=10**6, order_max=60)
-@example(r=10.0, pixels=10**6, order_max=60)
-def test_squeezed_fidelity_follows_the_closed_form_at_any_pixel_count(r, pixels, order_max):
-    config = ProtocolConfig(order_max=order_max)
-    (report,) = squeezing_sweep([r], pixel_count=pixels, config=config)
+@given(r=st.floats(min_value=0.0, max_value=10.0), pixels=st.integers(min_value=1, max_value=10**6))
+@example(r=0.0, pixels=10**6)
+@example(r=10.0, pixels=10**6)
+def test_squeezed_fidelity_follows_the_closed_form_at_any_pixel_count(r, pixels):
+    (report,) = squeezing_sweep([r], pixel_count=pixels)
     assert abs(report.f_av - 1 / (1 + 11 / 60 * np.exp(-2 * r))) <= 1e-12
 
 
@@ -105,7 +101,9 @@ def test_retrieved_light_reads_spin_orders_up_to_2_at_any_order(kappa, order_max
 
 @pytest.mark.parametrize("order_max", [2, 3, 60, 1000])
 def test_vacuum_noise_and_fidelity_hold_at_any_order(order_max):
-    noise = protocol_noise(ProtocolConfig(order_max=order_max))
+    # the cycle at any truncation, not the order-4 one that protocol_noise reads
+    noise = extract_noise(full_cycle(ProtocolConfig(order_max=order_max)))
+    assert abs(noise.power() - 11 / 30) <= 1e-12
     model = noise_covariance(noise, CovarianceSpec.vacuum(), pixel_count=1)
     assert abs(model.cov_x[0, 0] - 11 / 60) <= 1e-12
     assert abs(model.cov_p[0, 0] - 11 / 60) <= 1e-12
@@ -261,7 +259,7 @@ def test_every_command_stays_finite_at_max_kappa(order_max):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         maps = [single_pass(config), double_pass_write(config), full_cycle(config)]
-        cycle = retrieval_cycle(config)
+        cycle = retrieval_cycle(MAX_KAPPA)
         weights = np.abs(cycle.coefficients[cycle.out_index(light("R"))]) ** 2
         result = extract_map(grid, refinement_levels=1)
         report = compare(result, maps[0], 0.01)
